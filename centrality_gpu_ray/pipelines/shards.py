@@ -18,6 +18,13 @@ On a multi-node cluster the pool spreads across nodes (one actor per
 core), each holding ~|E|/K edges; the broadcast state vector is one
 object-store copy per node. This is precisely SURVEY.md §7.3's
 "stateful actor pools: CSR shard holders".
+
+Kernels run against the resident layout as owner exchanges:
+PageRank/PPR/Katz/eigenvector (``pr_step`` family), CC/SSSP/BFS
+(min-combine steps), change-driven LP, Jones–Plassmann MIS/coloring,
+sampled and weighted Brandes, sharded BiCC, and triangle counting
+(``triangle_pass``: degree chunks → oriented edges by apex → wedges
+by the holder of their closing edge → corner credits by vertex owner).
 """
 
 from __future__ import annotations
@@ -75,6 +82,33 @@ def _range_split_min(u, seg, uniq_v, rep_fold, bounds, lab):
     return tuple((uniq_v[cuts[i]:cuts[i + 1]],
                   mins[cuts[i]:cuts[i + 1]])
                  for i in range(len(bounds) - 1))
+
+
+def _range_owner(ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Index of the owner whose [lo, hi) range holds each id, in closed
+    form for the pool's split ``bounds[p] = n·p // P``."""
+    P, n = len(bounds) - 1, int(bounds[-1])
+    return ((ids + 1) * P - 1) // max(n, 1)
+
+
+def _hash_owner(ids: np.ndarray, P: int) -> np.ndarray:
+    """Owner index by a multiplicative hash of the id (ids < 2^31):
+    spreads work whose keys cluster in one id range, as the endpoints
+    of a skewed graph's wedges do."""
+    return (((ids * 0x9E3779B1) & 0xFFFFFFFF) * P) >> 32
+
+
+def _route(dest: np.ndarray, P: int, *cols):
+    """Rows of ``cols`` → one tuple of column slices per owner, row i
+    going to owner ``dest[i]`` — the split of one owner-routed
+    exchange. Rows keep their order within an owner; the int16 index
+    makes the stable argsort a radix sort."""
+    dest = dest.astype(np.int16)
+    order = np.argsort(dest, kind="stable")
+    cuts = np.r_[0, np.cumsum(np.bincount(dest, minlength=P))]
+    cols = [c[order] for c in cols]
+    return tuple(tuple(c[cuts[i]:cuts[i + 1]] for c in cols)
+                 for i in range(P))
 
 
 def _shard_class():
@@ -429,6 +463,96 @@ def _shard_class():
             neither degrees nor a numeric init vector (LP)."""
             self.lo, self.hi = lo, hi
             return True
+
+        # -- owner-routed triangle counting ------------------------------
+        # Degree-ordered orientation (each edge kept once as apex →
+        # higher-(deg, id) neighbour) gives every triangle exactly one
+        # wedge, at its lowest-ranked vertex, whose closing edge is an
+        # out-edge of the wedge's lower-ranked endpoint. So each wedge
+        # is routed to the actor holding that endpoint's out-edges,
+        # which tests it against its own sorted keys — no edge-key
+        # broadcast, one path for every graph size. Out-edges and
+        # wedges are placed by a hash of the vertex (a skewed graph's
+        # apexes and wedge endpoints cluster in a few id ranges); only
+        # the final credits go to the range owners that hold the state.
+
+        def owner_tri_degree(self, lo: int, hi: int, my_idx: int,
+                             *deg_outs) -> np.ndarray:
+            """Round 1: bind [lo, hi) and assemble this range's degree
+            chunk from the shards' ``degree_partials`` (kept for the
+            clustering denominators)."""
+            self.lo, self.hi = lo, hi
+            deg = np.zeros(hi - lo, dtype=np.int64)
+            for out in deg_outs:
+                uniq_v, vals = out[my_idx]
+                deg[uniq_v - lo] += vals.astype(np.int64)
+            self.tri_deg = deg
+            return deg
+
+        def shard_tri_orient(self, P: int, deg: np.ndarray):
+            """Round 2: this slice's edges oriented by (deg, id), each
+            once (its u < v message), split by the apex's hash owner."""
+            from centrality_gpu_ray.pipelines.triangles import _orient
+
+            one = self.u < self.v
+            a, b = _orient(self.u[one].astype(np.int64),
+                           self.v[one].astype(np.int64), deg)
+            return _route(_hash_owner(a, P), P, a, b)
+
+        def owner_tri_wedges(self, n: int, deg: np.ndarray, my_idx: int,
+                             *edge_outs):
+            """Round 3: wedges of the apexes hashed here, as packed
+            closing keys ``low·n + high``, each routed to the hash owner
+            of its lower-ranked endpoint ``low``; keeps the sorted
+            packed out-edge keys ``apex·n + nbr`` for round 4."""
+            from centrality_gpu_ray.pipelines.triangles import \
+                _wedges_from_adj
+
+            a = np.concatenate([out[my_idx][0] for out in edge_outs])
+            b = np.concatenate([out[my_idx][1] for out in edge_outs])
+            self.tri_keys = np.sort(a * n + b)
+            # neighbours keyed by rank deg·n + id: each apex's pairs then
+            # come out rank-ordered, so the first is the lower endpoint
+            apex, x, y = _wedges_from_adj(a, deg[b] * n + b)
+            low = x % n
+            P = len(edge_outs)
+            return _route(_hash_owner(low, P), P, apex, low * n + y % n)
+
+        def owner_tri_match(self, n: int, bounds: np.ndarray, my_idx: int,
+                            *wedge_outs):
+            """Round 4: closing-edge membership against the out-edge
+            keys kept here; one credit per matched wedge corner, split
+            by the corner's range owner. Drops the key set."""
+            apex = np.concatenate([out[my_idx][0] for out in wedge_outs])
+            key = np.concatenate([out[my_idx][1] for out in wedge_outs])
+            keys, self.tri_keys = self.tri_keys, None
+            hit = np.zeros(key.size, dtype=bool)
+            if keys.size:
+                idx = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+                hit = keys[idx] == key
+            self.tri_msgs = (int(key.size), int(hit.sum()))
+            k = key[hit]
+            ids, cnt = np.unique(np.concatenate([apex[hit], k // n, k % n]),
+                                 return_counts=True)
+            return _route(_range_owner(ids, bounds), len(bounds) - 1,
+                          ids, cnt)
+
+        def owner_tri_fold(self, my_idx: int, *credit_outs):
+            """Sum this range's corner credits into the state (triangles)
+            and aux (local clustering); returns (wedges, matched,
+            Σtriangles, Σ C(deg, 2), Σclustering) partials."""
+            tri = np.zeros(self.hi - self.lo, dtype=np.int64)
+            for out in credit_outs:  # ids unique per part
+                ids, cnt = out[my_idx]
+                tri[ids - self.lo] += cnt
+            deg = self.tri_deg.astype(np.float64)
+            msgs, self.tri_deg, self.tri_msgs = self.tri_msgs, None, None
+            pairs = deg * (deg - 1.0) / 2.0
+            self.state = tri
+            self.aux = np.divide(tri, pairs, out=np.zeros(tri.size),
+                                 where=pairs > 0)
+            return (*msgs, float(tri.sum()), float(pairs.sum()),
+                    float(self.aux.sum()))
 
         # -- owner-resident Jones–Plassmann machinery (MIS + coloring) ---
         # The dense JP/MIS paths broadcast (mask, pri) and stream all 2m
@@ -2185,6 +2309,40 @@ class ShardPool:
         ]
         return int(sum(ray.get(changed_refs)))
 
+    def triangle_pass(self, n: int) -> tuple:
+        """Exact per-vertex triangle counts into the owners' state (and
+        local clustering into their aux) in four owner-routed rounds:
+        degree chunks → oriented edges by apex → wedges by the holder
+        of their closing edge → corner credits by vertex owner. No Ray
+        Data execution; the driver routes refs and sums 5P scalars.
+        Returns (wedges tested, wedges matched, Σtriangles,
+        Σ C(deg, 2), Σclustering)."""
+        import ray
+
+        if not self._frontier_capable:
+            raise ValueError(
+                "triangle_pass needs a pool holding one copy of each edge, "
+                "not a state-only pool or a same-vertex tiled one "
+                "(replicas > 1, stride == 0)")
+        P = len(self.actors)
+        bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
+        deg_outs = [a.degree_partials.remote(bounds) for a in self.actors]
+        deg_full = self._assembler().remote(*[
+            a.owner_tri_degree.remote(int(bounds[p]), int(bounds[p + 1]), p,
+                                      *deg_outs)
+            for p, a in enumerate(self.actors)])
+        edge_outs = [a.shard_tri_orient.remote(P, deg_full)
+                     for a in self.actors]
+        wedge_outs = [a.owner_tri_wedges.remote(n, deg_full, p, *edge_outs)
+                      for p, a in enumerate(self.actors)]
+        credit_outs = [a.owner_tri_match.remote(n, bounds, p, *wedge_outs)
+                       for p, a in enumerate(self.actors)]
+        parts = ray.get([a.owner_tri_fold.remote(p, *credit_outs)
+                         for p, a in enumerate(self.actors)])
+        self.bounds = bounds
+        self.n = n
+        return tuple(map(sum, zip(*parts)))
+
     def setup_owner_ranges(self, n: int):
         """Minimal owner init: just the [lo, hi) range split — no degree
         pass, no numeric init vector (LP needs neither)."""
@@ -2444,11 +2602,14 @@ class ShardPool:
         self.last_manifest = man
         return int(man["step"])
 
-    def collect_state(self) -> np.ndarray:
+    def collect_state(self, aux: bool = False) -> np.ndarray:
+        """The owners' state chunks (``aux=True``: their aux chunks)
+        concatenated in dense-id order."""
         import ray
 
-        return np.concatenate(ray.get([a.owner_get_state.remote()
-                                       for a in self.actors]))
+        return np.concatenate(ray.get([
+            (a.owner_get_aux if aux else a.owner_get_state).remote()
+            for a in self.actors]))
 
     def shutdown(self):
         """Release the actors (and their fractional CPU reservations) —

@@ -1,4 +1,4 @@
-"""Triangle counting by degree-ordered orientation + wedge semi-join.
+"""Triangle counting by degree-ordered orientation + wedge closing.
 
 The reference's skew answer was whole-graph decomposition; ours (per
 SURVEY.md §4 and the north_rule) is the classic degree-ordered
@@ -7,13 +7,17 @@ orientation: direct each undirected edge ``u→v`` iff
 *apex* vertex with two out-edges, out-degrees are bounded by O(√m), and
 wedge generation skew is capped.
 
-Pipeline: oriented edges → wedges (all out-neighbor pairs per apex) →
-semi-join wedges against the oriented edge set on the closing pair →
-per-vertex credit (each matched wedge gives apex and both endpoints one
-triangle). Local mode does the join with ``np.isin`` on packed u64 keys
-(the same packing trick as ``bcc_bfs.cpp:1001-1003``); distributed mode
-uses a broadcast packed-key set when the edge set is small and a
-hash-partitioned packed-key semi-join beyond that.
+Each wedge (all out-neighbour pairs per apex) whose closing pair is an
+edge is one triangle, and credits its apex and both endpoints. Local
+mode tests the closing pairs with ``searchsorted`` over the sorted
+packed u64 edge keys (the packing trick of ``bcc_bfs.cpp:1001-1003``).
+Dense-distributed and sharded graphs run the same test on the resident
+shard pool (``ShardPool.triangle_pass``): four owner-routed rounds
+build degree chunks, send each oriented edge to its apex's owner, send
+each wedge to the owner of its lower-ranked endpoint (the closing edge
+is that endpoint's out-edge, so the owner's own sorted keys decide it)
+and send the corner credits to their vertices' owners. No Ray Data
+execution and no edge-key broadcast, so one path serves every size.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
-
-BROADCAST_EDGE_LIMIT = 50_000_000  # packed u64 keys ≤ 400 MB broadcast
 
 
 def _orient(s: np.ndarray, d: np.ndarray, deg: np.ndarray):
@@ -72,31 +74,62 @@ def _wedges_from_adj(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def triangle_counts(graph: Graph, config: EngineConfig | None = None,
-                    metrics: dict | None = None) -> pa.Table:
+                    metrics: dict | None = None):
     """Returns ``(node, triangles)`` per-vertex counts (vertices with 0
-    included). Total = sum/3 · 3 = matched wedges."""
-    cfg = config or graph.config
-    if getattr(graph, "sharded", False):
-        return _count_sharded(graph, cfg, metrics)
+    included): a ``pa.Table`` on dense graphs, a Dataset on sharded
+    ones. ``metrics`` gains ``sec``, ``total_triangles``, ``mode`` and
+    the message counts ``wedges`` (oriented wedges tested) and
+    ``matched`` (closed ones — one per triangle). ``config`` is
+    accepted for signature parity with the other operators; the kernel
+    has no knobs."""
+    return _count(graph, metrics, clustering=False)
+
+
+def _count(graph: Graph, metrics: dict | None, clustering: bool):
+    """Shared body of :func:`triangle_counts` and
+    :func:`clustering_coefficients`: numpy on local graphs, the shard
+    pool's ``triangle_pass`` otherwise."""
     t0 = time.perf_counter()
-    deg = graph.out_degree
+    n = graph.num_vertices
     if graph.mode == "local":
         s, d, _ = graph.local_arrays()
-        a, b = _orient(s, d, deg)
-        tri = _count_local(graph, a, b)
+        deg = graph.out_degree
+        tri, wedges, matched = _count_local(graph, *_orient(s, d, deg))
+        pairs = deg * (deg - 1.0) / 2.0
+        c = np.divide(tri, pairs, out=np.zeros(n), where=pairs > 0)
+        tri_sum, pair_sum, c_sum = tri.sum(), pairs.sum(), c.sum()
     else:
-        tri = _count_distributed(graph, cfg, deg)
-    elapsed = time.perf_counter() - t0
+        pool = graph.pool
+        wedges, matched, tri_sum, pair_sum, c_sum = pool.triangle_pass(n)
+        if not graph.sharded:
+            tri = pool.collect_state()
+            c = pool.collect_state(aux=True) if clustering else None
+    if graph.sharded:
+        from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
+
+        out = scores_dataset(graph.vdict, pool, "triangles",
+                             aux_col="clustering" if clustering else None)
+    else:
+        cols = {"node": pa.array(graph.node_ids, type=pa.int64()),
+                "triangles": pa.array(tri)}
+        if clustering:
+            cols["clustering"] = pa.array(c)
+        out = pa.table(cols)
     if metrics is not None:
         metrics.update({
-            "sec": elapsed,
-            "total_triangles": int(tri.sum() // 3),
-            "mode": graph.mode,
+            "sec": time.perf_counter() - t0,
+            "total_triangles": int(matched),
+            "wedges": int(wedges),
+            "matched": int(matched),
+            "mode": "sharded" if graph.sharded else graph.mode,
         })
-    return pa.table({
-        "node": pa.array(graph.node_ids, type=pa.int64()),
-        "triangles": pa.array(tri.astype(np.int64)),
-    })
+        if clustering:
+            metrics.update({
+                "avg_clustering": float(c_sum / n) if n else 0.0,
+                "transitivity": (float(tri_sum / pair_sum)
+                                 if pair_sum > 0 else 0.0),
+            })
+    return out
 
 
 def _pack(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -105,7 +138,8 @@ def _pack(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return lo * np.int64(n) + hi
 
 
-def _count_local(graph: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _count_local(graph: Graph, a: np.ndarray, b: np.ndarray):
+    """Oriented edges → (per-vertex triangles, #wedges, #matched)."""
     n = graph.num_vertices
     apex, x, y = _wedges_from_adj(a, b)
     edge_keys = np.sort(_pack(a, b, n))
@@ -117,228 +151,7 @@ def _count_local(graph: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tri = np.zeros(n, dtype=np.int64)
     for arr in (apex[match], x[match], y[match]):
         np.add.at(tri, arr, 1)
-    return tri
-
-
-def _count_distributed(graph: Graph, cfg: EngineConfig, deg: np.ndarray) -> np.ndarray:
-    """Explicit apex-hash shuffle: each reduce task owns a set of apexes
-    (all their out-edges co-located), generates that slice's wedges
-    vectorized, semi-joins them against the broadcast sorted packed edge
-    set, and returns partial per-vertex credits. One shuffle total;
-    wedge work parallelizes across reducers. Beyond
-    ``BROADCAST_EDGE_LIMIT`` edges the closing-pair membership test
-    switches to a hash-partitioned packed-key semi-join."""
-    import ray
-
-    n = graph.num_vertices
-    deg_ref = ray.put(deg)
-
-    def orient_batch(batch: pa.Table, _deg_ref=deg_ref) -> pa.Table:
-        dg = ray.get(_deg_ref)
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        a, b = _orient(s, d, dg)
-        return pa.table({"a": pa.array(a), "b": pa.array(b)})
-
-    oriented = graph.edges.map_batches(orient_batch, batch_format="pyarrow",
-                                       batch_size=cfg.batch_size).materialize()
-
-    if graph.num_edges > BROADCAST_EDGE_LIMIT:
-        # Scale path: apex-hash exchange generates each partition's
-        # wedges in ONE vectorized pass (many apexes per reduce — no
-        # per-group Python), then a hash-partitioned semi-join of the
-        # wedges against the packed canonical closing-edge keys.
-        # Wedge pairs (x, y) come out ascending by id, while oriented
-        # edges keep the (deg, id) orientation which may be
-        # high-id→low-id — both sides use the (min,max)-packed key.
-        from centrality_gpu_ray.stages.shuffle import (hash_partition_apply,
-                                                       hash_semi_join)
-
-        def wedge_part(tbl: pa.Table) -> pa.Table:
-            apex, x, y = _wedges_from_adj(
-                tbl.column("a").to_numpy(zero_copy_only=False),
-                tbl.column("b").to_numpy(zero_copy_only=False))
-            return pa.table({"apex": pa.array(apex),
-                             "key": pa.array(_pack(x, y, n))})
-
-        def edge_keys(tbl: pa.Table) -> pa.Table:
-            return pa.table({"key": pa.array(
-                _pack(tbl.column("a").to_numpy(),
-                      tbl.column("b").to_numpy(), n))})
-
-        wedges = hash_partition_apply(oriented, ["a"], wedge_part,
-                                      num_partitions=cfg.num_partitions)
-        keys_ds = oriented.map_batches(edge_keys, batch_format="pyarrow",
-                                       batch_size=cfg.batch_size)
-        matched = hash_semi_join(wedges, keys_ds, on="key",
-                                 num_partitions=cfg.num_partitions)
-        tri = np.zeros(n, dtype=np.int64)
-        counted = matched.map_batches(_wedge_credit_packed(n),
-                                      batch_format="pyarrow")
-        for batch in counted.iter_batches(batch_size=None,
-                                          batch_format="pyarrow"):
-            np.add.at(tri, batch.column("v").to_numpy(),
-                      batch.column("c").to_numpy())
-        return tri
-
-    # broadcast path: sorted packed edge keys shared by every reducer
-    tbl = pa.concat_tables(list(oriented.iter_batches(batch_size=None,
-                                                      batch_format="pyarrow")))
-    keys = np.sort(_pack(tbl.column("a").to_numpy(), tbl.column("b").to_numpy(), n))
-    keys_ref = ray.put(keys)
-    P = max(1, cfg.num_partitions)
-
-    @ray.remote(num_returns=P)
-    def split_by_apex(block: pa.Table):
-        a = block.column("a").to_numpy()
-        part = ((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(33)).astype(np.int64) % P
-        order = np.argsort(part, kind="stable")
-        sorted_tbl = block.take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        shards = [sorted_tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-                  for i in range(P)]
-        return tuple(shards) if P > 1 else shards[0]
-
-    @ray.remote
-    def count_part(keys_in, nv, *shards):
-        tabs = [s for s in shards if s.num_rows]
-        if not tabs:
-            z = np.empty(0, dtype=np.int64)
-            return z, z
-        merged = pa.concat_tables(tabs)
-        a = merged.column("a").to_numpy()
-        b = merged.column("b").to_numpy()
-        apex, x, y = _wedges_from_adj(a, b)
-        if apex.size == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, z
-        wk = _pack(x, y, nv)
-        idx = np.minimum(np.searchsorted(keys_in, wk), keys_in.size - 1)
-        match = keys_in[idx] == wk
-        v = np.concatenate([apex[match], x[match], y[match]])
-        uniq, cnt = np.unique(v, return_counts=True)
-        return uniq, cnt.astype(np.int64)
-
-    block_refs = []
-    for bundle in oriented.iter_internal_ref_bundles():
-        for block_ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                block_refs.append(block_ref)
-    shard_lists = [split_by_apex.remote(br) for br in block_refs]
-    if P == 1:
-        parts = [count_part.remote(keys_ref, n, *shard_lists)]
-    else:
-        parts = [count_part.remote(keys_ref, n, *[s[p] for s in shard_lists])
-                 for p in range(P)]
-    tri = np.zeros(n, dtype=np.int64)
-    for uniq, cnt in ray.get(parts):
-        np.add.at(tri, uniq, cnt)
-    return tri
-
-
-def _count_sharded(graph: Graph, cfg: EngineConfig, metrics: dict | None):
-    """>dense_vertex_limit triangles, fully Dataset-shaped: degrees via
-    hash aggregate, degree attachment to both endpoints via
-    co-partitioned lookup joins (no broadcast degree vector), apex-hash
-    wedge generation, packed-key semi-join, per-vertex credits via hash
-    aggregate, zeros filled by an outer lookup join against the vertex
-    dictionary. Returns a Dataset of (node, triangles)."""
-    import time as _time
-
-    import ray
-    import ray.data
-
-    from centrality_gpu_ray.pipelines.vertexdict import _DictReader
-    from centrality_gpu_ray.stages.shuffle import (hash_aggregate,
-                                                   hash_lookup_join,
-                                                   hash_partition_apply,
-                                                   hash_semi_join)
-
-    t0 = _time.perf_counter()
-    n = graph.num_vertices
-    P = cfg.num_partitions
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        v = np.concatenate([t.column("s").to_numpy(),
-                            t.column("d").to_numpy()])
-        uniq, cnt = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(uniq),
-                         "c": pa.array(cnt.astype(np.int64))})
-
-    deg_ds = hash_aggregate(
-        graph.edges.map_batches(deg_partial, batch_format="pyarrow"),
-        ["v"], [("c", "sum")], num_partitions=P)
-
-    pairs = graph.edges.map_batches(
-        lambda t: t.select(["s", "d"]), batch_format="pyarrow")
-    with_ds = hash_lookup_join(pairs, deg_ds, "s", "v", {"c": "_deg_s"},
-                               num_partitions=P)
-    with_dd = hash_lookup_join(with_ds, deg_ds, "d", "v", {"c": "_deg_d"},
-                               num_partitions=P)
-
-    def orient_b(t: pa.Table) -> pa.Table:
-        s = t.column("s").to_numpy()
-        d = t.column("d").to_numpy()
-        gs = t.column("_deg_s").to_numpy()
-        gd = t.column("_deg_d").to_numpy()
-        swap = (gd < gs) | ((gd == gs) & (d < s))
-        return pa.table({"a": pa.array(np.where(swap, d, s)),
-                         "b": pa.array(np.where(swap, s, d))})
-
-    oriented = with_dd.map_batches(orient_b, batch_format="pyarrow",
-                                   batch_size=cfg.batch_size).materialize()
-
-    def wedge_part(tbl: pa.Table) -> pa.Table:
-        apex, x, y = _wedges_from_adj(
-            tbl.column("a").to_numpy(zero_copy_only=False),
-            tbl.column("b").to_numpy(zero_copy_only=False))
-        return pa.table({"apex": pa.array(apex),
-                         "key": pa.array(_pack(x, y, n))})
-
-    def edge_keys(tbl: pa.Table) -> pa.Table:
-        return pa.table({"key": pa.array(
-            _pack(tbl.column("a").to_numpy(),
-                  tbl.column("b").to_numpy(), n))})
-
-    wedges = hash_partition_apply(oriented, ["a"], wedge_part,
-                                  num_partitions=P)
-    keys_ds = oriented.map_batches(edge_keys, batch_format="pyarrow",
-                                   batch_size=cfg.batch_size)
-    matched = hash_semi_join(wedges, keys_ds, on="key", num_partitions=P)
-    credits = matched.map_batches(_wedge_credit_packed(n),
-                                  batch_format="pyarrow")
-    counts = hash_aggregate(credits, ["v"], [("c", "sum")],
-                            num_partitions=P)
-    total = int(counts.sum("c") or 0) // 3
-
-    # every vertex with zeros filled: per-dict-block dense ids joined
-    # against the counts Dataset
-    vd = graph.vdict
-    dict_meta = (vd.mins, vd.offsets, vd.block_refs)
-
-    @ray.remote
-    def block_vertices(b: int, meta):
-        reader = _DictReader(meta)
-        lo, hi = int(vd.offsets[b]), int(vd.offsets[b + 1])
-        dense = np.arange(lo, hi, dtype=np.int64)
-        return pa.table({"v": pa.array(dense),
-                         "node": pa.array(reader.to_original(dense))})
-
-    allv = ray.data.from_arrow_refs(
-        [block_vertices.remote(b, dict_meta)
-         for b in range(len(vd.block_refs))])
-    out = hash_lookup_join(allv, counts, "v", "v", {"c": "triangles"},
-                           num_partitions=P, outer_fill={"triangles": 0})
-    out = out.map_batches(
-        lambda t: pa.table({"node": t.column("node"),
-                            "triangles": t.column("triangles").cast(
-                                pa.int64())}),
-        batch_format="pyarrow")
-    if metrics is not None:
-        metrics.update({"sec": _time.perf_counter() - t0,
-                        "total_triangles": total, "mode": "sharded"})
-    return out
+    return tri, int(apex.size), int(match.sum())
 
 
 def oriented_edges_ds(graph: Graph, cfg: EngineConfig):
@@ -536,107 +349,15 @@ def edge_support(graph: Graph, config: EngineConfig | None = None,
     return out
 
 
-def _wedge_credit_packed(n: int):
-    """Credit apex + both endpoints of each matched (packed) wedge."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        key = batch.column("key").to_numpy()
-        v = np.concatenate([batch.column("apex").to_numpy(),
-                            key // np.int64(n), key % np.int64(n)])
-        uniq, cnt = np.unique(v, return_counts=True)
-        return pa.table({"v": pa.array(uniq),
-                         "c": pa.array(cnt.astype(np.int64))})
-
-    return fn
-
-
 def clustering_coefficients(graph: Graph,
                             config: EngineConfig | None = None,
                             metrics: dict | None = None):
     """Local clustering coefficients — ``(node, triangles,
     clustering)`` with ``clustering = triangles(v) / C(deg(v), 2)``
-    (0 where deg < 2). Derived from :func:`triangle_counts` plus the
-    degree vector; ``metrics`` gains ``avg_clustering`` (mean over
+    (0 where deg < 2); ``metrics`` gains ``avg_clustering`` (mean over
     all vertices — Watts–Strogatz) and ``transitivity`` (global
-    3·triangles / wedges). Dense graphs return a ``pa.Table``;
-    sharded graphs compute the degree attach distributed
-    (hash-aggregated degrees + one lookup join) and return a Dataset,
-    with the two scalar metrics folded from per-block partials."""
-    cfg = config or graph.config
-    tri = triangle_counts(graph, cfg, metrics=metrics)
-    if isinstance(tri, pa.Table):
-        deg = graph.out_degree.astype(np.float64)
-        t = tri.column("triangles").to_numpy().astype(np.float64)
-        poss = deg * (deg - 1.0) / 2.0
-        c = np.divide(t, poss, out=np.zeros_like(t), where=poss > 0)
-        if metrics is not None:
-            metrics.update({
-                "avg_clustering": float(c.mean()) if c.size else 0.0,
-                "transitivity": (float(t.sum() / poss.sum())
-                                 if poss.sum() > 0 else 0.0),
-            })
-        return tri.append_column("clustering", pa.array(c))
-
-    from centrality_gpu_ray.stages.shuffle import (hash_aggregate,
-                                                   hash_lookup_join)
-
-    def explode_deg(tb: pa.Table) -> pa.Table:
-        s = tb.column("src").to_numpy()
-        d = tb.column("dst").to_numpy()
-        return pa.table({
-            "node": pa.array(np.concatenate([s, d]).astype(np.int64)),
-            "c": pa.array(np.ones(2 * len(tb), dtype=np.int64))})
-
-    deg_ds = hash_aggregate(
-        graph.canonical_edges().map_batches(explode_deg,
-                                            batch_format="pyarrow"),
-        keys=["node"], aggs=[("c", "sum")],
-        num_partitions=cfg.num_partitions)
-    joined = hash_lookup_join(tri, deg_ds, row_key="node",
-                              dict_key="node", attach={"c": "deg"},
-                              outer_fill={"deg": 0},
-                              num_partitions=cfg.num_partitions)
-
-    def finish(tb: pa.Table) -> pa.Table:
-        t = tb.column("triangles").to_numpy().astype(np.float64)
-        dg = tb.column("deg").to_numpy().astype(np.float64)
-        poss = dg * (dg - 1.0) / 2.0
-        c = np.divide(t, poss, out=np.zeros_like(t), where=poss > 0)
-        return pa.table({"node": tb.column("node"),
-                         "triangles": tb.column("triangles"),
-                         "clustering": pa.array(c)})
-
-    out = joined.map_batches(finish, batch_format="pyarrow")
-    if metrics is not None:
-        out = out.materialize()
-        # scalar folds for the two global metrics (one tiny row per
-        # block to the driver)
-        sums = joined.map_batches(
-            lambda tb: pa.table({
-                "t": pa.array([float(tb.column("triangles").to_numpy()
-                               .sum())]),
-                "p": pa.array([float((lambda g: (g * (g - 1) / 2.0)
-                                      .sum())(
-                    tb.column("deg").to_numpy().astype(np.float64)))]),
-                "csum": pa.array([float(np.divide(
-                    tb.column("triangles").to_numpy()
-                    .astype(np.float64),
-                    (lambda g: g * (g - 1) / 2.0)(
-                        tb.column("deg").to_numpy()
-                        .astype(np.float64)),
-                    out=np.zeros(len(tb)),
-                    where=tb.column("deg").to_numpy() > 1).sum())]),
-                "n": pa.array([float(len(tb))]),
-            }), batch_format="pyarrow")
-        tt = pp = cs = nn = 0.0
-        for b in sums.iter_batches(batch_size=None,
-                                   batch_format="pyarrow"):
-            tt += float(b.column("t").to_numpy().sum())
-            pp += float(b.column("p").to_numpy().sum())
-            cs += float(b.column("csum").to_numpy().sum())
-            nn += float(b.column("n").to_numpy().sum())
-        metrics.update({
-            "avg_clustering": cs / nn if nn else 0.0,
-            "transitivity": tt / pp if pp else 0.0,
-        })
-    return out
+    3·triangles / wedges) next to the :func:`triangle_counts` keys.
+    Dense graphs return a ``pa.Table``, sharded graphs a Dataset; off
+    the local path the owners of ``triangle_pass`` emit the rows and
+    the two scalar partials from the degree chunks they already hold."""
+    return _count(graph, metrics, clustering=True)

@@ -112,14 +112,14 @@ def test_triangles_distributed_equals_local():
     assert a.equals(b)
 
 
-def test_triangles_join_scale_path_orientation(monkeypatch):
+def test_triangles_join_scale_path_orientation():
     # Regression: triangle {1,2,3} with deg(1)>deg(2)>deg(3) orients the
-    # closing edge high-id->low-id (2->1); the >limit join path must
-    # canonicalize it to (1,2) or the wedge (1,2) never matches.
+    # closing edge high-id->low-id (2->1); the wedge (1,2) must be routed
+    # to the owner of its lower-ranked endpoint 2 and matched on the
+    # (min,max)-packed key, or it never closes. Checked on the shard-pool
+    # kernel of a dense-distributed and of a sharded graph.
     import pyarrow as pa
     import ray.data
-
-    from centrality_gpu_ray.pipelines import triangles as tri_mod
 
     pairs = [(1, 2), (2, 3), (1, 3),            # the triangle
              (1, 4), (1, 5), (1, 6), (2, 7), (2, 8)]  # degree boosters
@@ -128,14 +128,17 @@ def test_triangles_join_scale_path_orientation(monkeypatch):
         "dst": pa.array([v for _, v in pairs], type=pa.int64()),
         "weight": pa.array([1] * len(pairs), type=pa.int64()),
     })
-    g = Graph(ray.data.from_arrow(tbl), mode="distributed")
-    monkeypatch.setattr(tri_mod, "BROADCAST_EDGE_LIMIT", 0)
-    m = {}
-    t = tri_mod.triangle_counts(g, metrics=m).to_pandas()
-    assert m["total_triangles"] == 1
-    got = dict(zip(t["node"], t["triangles"]))
-    assert got[1] == got[2] == got[3] == 1
-    assert got[4] == got[5] == got[6] == got[7] == got[8] == 0
+    dense = Graph(ray.data.from_arrow(tbl), mode="distributed")
+    sharded = Graph(ray.data.from_arrow(tbl),
+                    config=EngineConfig(dense_vertex_limit=5))
+    assert not dense.sharded and sharded.sharded
+    for g in (dense, sharded):
+        m = {}
+        t = triangle_counts(g, metrics=m).to_pandas()
+        assert m["total_triangles"] == 1
+        got = dict(zip(t["node"], t["triangles"]))
+        assert got[1] == got[2] == got[3] == 1
+        assert got[4] == got[5] == got[6] == got[7] == got[8] == 0
 
 
 @pytest.mark.parametrize("name", ["test1", "test3"])

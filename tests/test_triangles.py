@@ -1,8 +1,10 @@
-"""Clustering-coefficient operator: brute-force per-vertex oracle,
-dense + sharded parity, global metrics."""
+"""Clustering-coefficient operator (brute-force per-vertex oracle,
+dense + sharded parity, global metrics) and the shard-pool triangle
+kernel across owner boundaries."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from centrality_gpu_ray.config import EngineConfig
@@ -57,3 +59,67 @@ def test_clustering_coefficients_vs_oracle(ray_session):
                    - pdf.loc[v, "clustering"]) < 1e-12
     assert abs(m2["avg_clustering"] - m["avg_clustering"]) < 1e-12
     assert abs(m2["transitivity"] - m["transitivity"]) < 1e-12
+
+
+def _hub_skewed_graph():
+    """Hub 0 adjacent to every ring vertex, a 60-ring with (i, i+2)
+    chords at every third i, then 30 isolated edges on the highest ids
+    — so the top dense-id range (every owner split tried below) holds
+    no apex with two out-edges, i.e. no wedges."""
+    ring = list(range(1, 61))
+    pairs = [(0, v) for v in ring]
+    pairs += [(ring[i], ring[(i + 1) % 60]) for i in range(60)]
+    pairs += [(ring[i], ring[(i + 2) % 60]) for i in range(0, 60, 3)]
+    pairs += [(1000 + 2 * j, 1001 + 2 * j) for j in range(30)]
+    return pa.table({"src": pa.array([u for u, _ in pairs], type=pa.int64()),
+                     "dst": pa.array([v for _, v in pairs], type=pa.int64())})
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_triangle_pass_owner_boundaries(ray_session, k):
+    """The pool kernel across owner boundaries: exact per-vertex
+    equality with the local oracle at k owners, message counts that
+    match it, and a later PageRank on the same pool identical to one on
+    a fresh pool (the kernel leaves no stale owner state)."""
+    from centrality_gpu_ray.pipelines import pagerank
+    from centrality_gpu_ray.pipelines.shards import ShardPool
+    from centrality_gpu_ray.pipelines.triangles import (
+        _count_local, _orient, _wedges_from_adj)
+
+    g = Graph(ray.data.from_arrow(_hub_skewed_graph()), mode="distributed")
+    n = g.num_vertices
+    s, d, _ = g.local_arrays()
+    a, b = _orient(s, d, g.out_degree)
+    want, wedges, matched = _count_local(g, a, b)
+    apex, _, _ = _wedges_from_adj(a, b)
+    if k > 1:
+        assert apex.max() < n * (k - 1) // k  # a wedge-free owner range
+
+    pool = ShardPool(g.edges, num_shards=k)
+    fresh = ShardPool(g.edges, num_shards=k)
+    assert len(pool.actors) == k
+    got_wedges, got_matched, *_ = pool.triangle_pass(n)
+    assert np.array_equal(pool.collect_state(), want)
+    assert (got_wedges, got_matched) == (wedges, matched)
+    assert matched == want.sum() // 3 == 60 + 20 + 20  # hub, chord rings
+
+    ranks = []
+    for p in (pool, fresh):
+        g._pool = p
+        ranks.append(pagerank(g).column("pagerank").to_numpy())
+        p.shutdown()
+    assert np.array_equal(ranks[0], ranks[1])
+
+
+def test_triangle_pass_rejects_tiled_pool(ray_session):
+    """A same-vertex tiled pool holds every edge R times; counting on it
+    would multiply triangles, so the kernel refuses it."""
+    from centrality_gpu_ray.pipelines.shards import ShardPool
+
+    g = Graph(ray.data.from_arrow(_hub_skewed_graph()), mode="distributed")
+    pool = ShardPool(g.edges, num_shards=1, replicas=2)
+    try:
+        with pytest.raises(ValueError, match="tiled"):
+            pool.triangle_pass(g.num_vertices)
+    finally:
+        pool.shutdown()
