@@ -2,10 +2,11 @@
 
 Headline: PageRank supersteps to 1e-6 L1 convergence over the
 lineitem-derived co-occurrence edge table at $GRAFT_SF_DIR (default
-sf0.1), run in **distributed** mode (broadcast rank vector + per-batch
-pre-aggregated salted groupby scatter per superstep) — the same
-execution path a multi-node cluster would use. Reports
-edges-processed/sec = 2·m·supersteps / sec (both message directions).
+sf0.1), run in **distributed** mode (``ShardPool.pr_step`` per superstep:
+owner-resident rank chunks, resident edge shards' reduceat partials
+combined per vertex range) — the same execution path a multi-node
+cluster would use. Reports edges-processed/sec = 2·m·supersteps / sec
+(both message directions).
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
@@ -65,7 +66,7 @@ def run_bench() -> dict:
 
     # graph build (normalize + dedup + materialize + relabel), then the
     # headline: distributed PageRank to 1e-6
-    cfg = EngineConfig(tolerance=1e-6, salt_buckets=8)
+    cfg = EngineConfig(tolerance=1e-6)
     g = timed("graph_build", lambda: gq.lineitem_graph(sf_dir, mode="distributed",
                                                        config=cfg))
     timed("shard_pool_build", lambda: g.pool)  # one-time resident structure
@@ -93,8 +94,7 @@ def run_bench() -> dict:
     ).connected_components(g, cfg))
     timed("eigenvector_fixed12", lambda: __import__(
         "centrality_gpu_ray.pipelines.eigenvector", fromlist=["eigenvector_centrality"]
-    ).eigenvector_centrality(g, EngineConfig(tolerance=0.0, max_supersteps=12,
-                                             salt_buckets=8)))
+    ).eigenvector_centrality(g, EngineConfig(tolerance=0.0, max_supersteps=12)))
     tri_metrics: dict = {}
     timed("triangles", lambda: __import__(
         "centrality_gpu_ray.pipelines.triangles", fromlist=["triangle_counts"]

@@ -8,10 +8,10 @@ program, see ``/root/reference/Codes``) as idiomatic Ray Data pipelines:
   turned into a co-occurrence **edge table** (`stages/edges.py`),
 * iterative graph algorithms — PageRank, connected components, label
   propagation, triangle counting, and a Brandes betweenness-centrality
-  conformance tier — run as **supersteps**: one vectorized
-  ``map_batches`` gather over the static edge Dataset, followed by a
-  pre-aggregated (optionally salted two-level) ``groupby`` scatter
-  (`pipelines/`),
+  conformance tier — run as **supersteps** on a resident edge-shard
+  actor pool: each shard gathers its presorted edges with one
+  vectorized ``reduceat`` and vertex-range owner actors combine the
+  partials (`pipelines/`),
 * per-superstep Parquet checkpoints with lineage manifests make every
   run resumable (`state/checkpoint.py`),
 * plus the training-data-pipeline operators a 100 TB corpus needs:

@@ -19,22 +19,9 @@ class EngineConfig:
         damping: PageRank damping factor (alpha).
         tolerance: L1 convergence threshold for iterative algorithms.
         max_supersteps: hard cap on superstep count.
-        batch_size: rows per ``map_batches`` batch in the gather stage.
+        batch_size: rows per ``map_batches`` batch in Dataset-side edge
+            passes (graph build, MIS, link prediction, ...).
         num_partitions: target partition count for shuffles / edge layout.
-        salt_buckets: number of salt buckets for the two-level hub
-            aggregation (``groupby((key, salt)) -> groupby(key)``); 0
-            disables salting.
-        hub_degree_threshold: vertices with degree above this are
-            considered hubs (reporting / diagnostics; the two-level
-            aggregate itself is degree-oblivious and always safe).
-        combine: how distributed-mode supersteps merge per-block partial
-            messages: ``"owners"`` (default — Pregel-style: vertex-range
-            owner actors hold resident state chunks and combine shard
-            partials in parallel; zero O(n) driver work per superstep),
-            ``"driver"`` (deterministic sorted driver-side segmented
-            add), or ``"shuffle"`` (salted two-level groupby aggregate —
-            the fully-Dataset-shaped route, also the salting test
-            surface).
         dense_vertex_limit: graphs with at most this many vertices use
             the dense-vector fast path (driver-held float64/int64 numpy
             state, broadcast by ``ray.put`` per superstep — one
@@ -54,9 +41,6 @@ class EngineConfig:
     max_supersteps: int = 100
     batch_size: int = 262_144
     num_partitions: int = 16
-    salt_buckets: int = 8
-    combine: str = "owners"
-    hub_degree_threshold: int = 1 << 16
     dense_vertex_limit: int = 5_000_000
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1

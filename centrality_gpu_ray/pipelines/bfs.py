@@ -3,14 +3,15 @@
 The reference's direction-optimizing BFS (``bcc_bfs_do_bfs``
 ``bcc_bfs.cpp:300-604``: Beamer α/β switch at 542-567, per-thread
 frontier buffers merged by thread 0, ``PARALLEL_CUTOFF`` serial
-fallback) maps to: driver superstep loop; per superstep either a
-**frontier-driven gather** (map_batches over edge blocks against the
-broadcast frontier bitmap → min-level messages → groupby-min) or, when
-the frontier is a large fraction of the graph, a full-edge scan is the
-same operation — the α/β switch is subsumed because the gather always
-scans edge blocks vectorized and masks by frontier membership, which is
-the bottom-up formulation. The serial fallback is the engine's
-``local`` mode (whole edge table on the driver).
+fallback) maps to: driver superstep loop; per superstep a
+**frontier-driven gather** — each resident edge shard
+(``ShardPool.gather_bfs``) masks its messages by the broadcast frontier
+bitmap and returns the min parent per unvisited neighbor, and the
+driver keeps the min across shards. The α/β switch is subsumed because
+the gather always scans the shard vectorized and masks by frontier
+membership, which is the bottom-up formulation (sharded graphs switch
+direction explicitly, ``bfs_step_sharded``). The serial fallback is the
+engine's ``local`` mode (whole edge table on the driver).
 
 Returns ``(node, level, parent)``; unreachable vertices get level −1,
 parent −1. Parent selection is deterministic: min-id neighbor among
@@ -28,39 +29,10 @@ from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
 
 
-class _BfsMsgs:
-    """Edge block → (v, candidate parent) for v adjacent to the frontier."""
-
-    def __init__(self, state_ref):
-        self._state_ref = state_ref
-        self._state = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        if self._state is None:
-            self._state = ray.get(self._state_ref)
-        in_frontier, visited = self._state
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        v = np.concatenate([d[in_frontier[s]], s[in_frontier[d]]])
-        p = np.concatenate([s[in_frontier[s]], d[in_frontier[d]]])
-        keep = ~visited[v]
-        v, p = v[keep], p[keep]
-        # per-batch partial min-parent per v
-        order = np.lexsort((p, v))
-        v_s, p_s = v[order], p[order]
-        first = np.ones(v_s.size, dtype=bool)
-        first[1:] = v_s[1:] != v_s[:-1]
-        return pa.table({"v": pa.array(v_s[first]), "c": pa.array(p_s[first])})
-
-
 def bfs(graph: Graph, source: int, config: EngineConfig | None = None,
         metrics: dict | None = None) -> pa.Table:
     """BFS from `source` (an *original* node id)."""
     import ray
-
-    from centrality_gpu_ray.pipelines.exchange import aggregate_messages
 
     cfg = config or graph.config
     if getattr(graph, "sharded", False):
@@ -84,49 +56,24 @@ def bfs(graph: Graph, source: int, config: EngineConfig | None = None,
     depth = 0
     while frontier.size:
         depth += 1
+        in_f = np.zeros(n, dtype=bool)
+        in_f[frontier] = True
         if graph.mode == "local":
             s, d, _ = graph.local_arrays()
-            in_f = np.zeros(n, dtype=bool)
-            in_f[frontier] = True
             v = np.concatenate([d[in_f[s]], s[in_f[d]]])
             p = np.concatenate([s[in_f[s]], d[in_f[d]]])
             keep = level[v] == -1
             v, p = v[keep], p[keep]
-            if v.size == 0:
-                break
-            order = np.lexsort((p, v))
-            v, p = v[order], p[order]
-            first = np.ones(v.size, dtype=bool)
-            first[1:] = v[1:] != v[:-1]
-            new, new_par = v[first], p[first]
         else:
-            in_f = np.zeros(n, dtype=bool)
-            in_f[frontier] = True
-            if cfg.combine == "shuffle":
-                state_ref = ray.put((in_f, level >= 0))
-                msgs = graph.edges.map_batches(_BfsMsgs(state_ref),
-                                               batch_format="pyarrow",
-                                               batch_size=cfg.batch_size)
-                msgs = aggregate_messages(msgs, agg="min",
-                                          salt_buckets=cfg.salt_buckets)
-                parts = list(msgs.iter_batches(batch_size=None,
-                                               batch_format="pyarrow"))
-                if not parts:
-                    break
-                t = pa.concat_tables(parts)
-                v_all = t.column("v").to_numpy()
-                p_all = t.column("c").to_numpy()
-            else:
-                v_all, p_all = graph.pool.gather_bfs(ray.put(in_f),
-                                                     ray.put(level >= 0))
-            if v_all.size == 0:
-                break
-            # combine per-block partial minima: min parent per v
-            order = np.lexsort((p_all, v_all))
-            v_all, p_all = v_all[order], p_all[order]
-            first = np.ones(v_all.size, dtype=bool)
-            first[1:] = v_all[1:] != v_all[:-1]
-            new, new_par = v_all[first], p_all[first]
+            v, p = graph.pool.gather_bfs(ray.put(in_f), ray.put(level >= 0))
+        if v.size == 0:
+            break
+        # min parent per newly reached v (also merges the shards' partials)
+        order = np.lexsort((p, v))
+        v, p = v[order], p[order]
+        first = np.ones(v.size, dtype=bool)
+        first[1:] = v[1:] != v[:-1]
+        new, new_par = v[first], p[first]
         level[new] = depth
         parent[new] = new_par
         frontier = np.sort(new)

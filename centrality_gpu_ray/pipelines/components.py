@@ -9,9 +9,11 @@ per-component work with a ``groupby("component")``.
 Semantics: ``component(v) = min(original node id in v's component)``
 (deterministic; dense ids are sorted by original id so min-dense-idx and
 min-original-id agree). Superstep: every vertex takes the min of its
-own and all neighbors' labels; converged when nothing changes. Integer
-min is exact and associative — the salted two-level aggregate and any
-partitioning give identical results.
+own and all neighbors' labels (then one pointer jump); converged when
+nothing changes. Integer min is exact and associative, so any edge
+sharding and owner split give identical results. Distributed graphs
+keep the labels owner-resident on the shard pool (``ShardPool.cc_step``:
+min-gather partials per shard, min-combine + jump per owner range).
 """
 
 from __future__ import annotations
@@ -22,38 +24,13 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
-from centrality_gpu_ray.pipelines.exchange import aggregate_messages
 from centrality_gpu_ray.pipelines.graph import Graph
 from centrality_gpu_ray.state.checkpoint import CheckpointManager
-
-
-class _MinMsgs:
-    def __init__(self, lab_ref):
-        self._lab_ref = lab_ref
-        self._lab = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        if self._lab is None:
-            self._lab = ray.get(self._lab_ref)
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        v = np.concatenate([d, s])
-        c = np.concatenate([self._lab[s], self._lab[d]])
-        # per-batch partial min per key
-        order = np.lexsort((c, v))
-        v_s, c_s = v[order], c[order]
-        first = np.ones(v_s.size, dtype=bool)
-        first[1:] = v_s[1:] != v_s[:-1]
-        return pa.table({"v": pa.array(v_s[first]), "c": pa.array(c_s[first])})
 
 
 def connected_components(graph: Graph, config: EngineConfig | None = None,
                          metrics: dict | None = None) -> pa.Table:
     """Returns ``(node, component)`` with component = min node id."""
-    import ray
-
     cfg = config or graph.config
     n = graph.num_vertices
     if getattr(graph, "sharded", False):
@@ -75,7 +52,7 @@ def connected_components(graph: Graph, config: EngineConfig | None = None,
 
     t0 = time.perf_counter()
     changed = True
-    if graph.mode != "local" and cfg.combine == "owners":
+    if graph.mode != "local":
         # owner-resident labels: int64 chunks live in the actors
         graph.pool.setup_owners(np.ones(n, dtype=np.float64),
                                 labels.astype(np.float64))
@@ -87,42 +64,18 @@ def connected_components(graph: Graph, config: EngineConfig | None = None,
                                  mode=graph.mode)
             step += 1
         labels = graph.pool.collect_state().astype(np.int64)
-        elapsed = time.perf_counter() - t0
-        _check_converged(changed, step, cfg, metrics)
-        if metrics is not None:
-            metrics.update({"supersteps": step, "sec": elapsed,
-                            "num_components": int(np.unique(labels).size),
-                            "mode": graph.mode})
-        return _result(graph, labels)
-    while changed and step < cfg.max_supersteps:
-        if graph.mode == "local":
-            s, d, _ = graph.local_arrays()
+    else:
+        s, d, _ = graph.local_arrays()
+        while changed and step < cfg.max_supersteps:
             new = labels.copy()
             np.minimum.at(new, d, labels[s])
             np.minimum.at(new, s, labels[d])
             new = np.minimum(new, new[new])  # pointer jump (O(log n))
-        else:
-            lab_ref = ray.put(labels)
-            if cfg.combine == "shuffle":
-                msgs = graph.edges.map_batches(_MinMsgs(lab_ref),
-                                               batch_format="pyarrow",
-                                               batch_size=cfg.batch_size)
-                msgs = aggregate_messages(msgs, agg="min",
-                                          salt_buckets=cfg.salt_buckets)
-                new = labels.copy()
-                for batch in msgs.iter_batches(batch_size=None,
-                                               batch_format="pyarrow"):
-                    vv = batch.column("v").to_numpy()
-                    cc = batch.column("c").to_numpy()
-                    np.minimum.at(new, vv, cc)
-            else:
-                new = graph.pool.gather_min(lab_ref, n, labels)
-            new = np.minimum(new, new[new])  # pointer jump (O(log n))
-        changed = bool(np.any(new != labels))
-        labels = new
-        ckpt.maybe_write(step, _result(graph, labels), changed=changed,
-                         mode=graph.mode)
-        step += 1
+            changed = bool(np.any(new != labels))
+            labels = new
+            ckpt.maybe_write(step, _result(graph, labels), changed=changed,
+                             mode=graph.mode)
+            step += 1
     elapsed = time.perf_counter() - t0
 
     _check_converged(changed, step, cfg, metrics)

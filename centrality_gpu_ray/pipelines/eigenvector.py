@@ -6,11 +6,10 @@ betweenness; the reference computes only BC/degree
 (``kernels_free.cu:245-259``), so this is an engine extension with the
 same superstep structure as PageRank minus damping/dangling: per
 superstep one gather ``y = A·x`` (optionally weight-scaled) and one
-global normalization ``x ← y / Σy``. Reuses the PageRank exchange
-verbatim — broadcast contribution vector + resident-shard
-``gather_sum`` (owners) or the salted shuffle combine — so every
-scale/fault property of that path (pinned edge blocks, pre-aggregated
-messages, no O(n) driver serial section in owners mode) carries over.
+global normalization ``x ← y / Σy``. Dense graphs reuse PageRank's
+``gather_neighbor_sum`` (broadcast vector + resident-shard
+``gather_sum``, the driver holding ``x``); sharded graphs keep ``x``
+owner-resident (``ShardPool.ev_step``), with no O(n) driver section.
 
 Convergence: the L1 delta between successive normalized vectors; with
 ``tolerance=0`` runs exactly ``max_supersteps`` iterations — the
@@ -44,7 +43,7 @@ def eigenvector_centrality(graph: Graph, config: EngineConfig | None = None,
     t0 = time.perf_counter()
     step, delta = 0, np.inf
     while step < cfg.max_supersteps and delta > cfg.tolerance:
-        y = gather_neighbor_sum(graph, x, cfg, weighted)
+        y = gather_neighbor_sum(graph, x, weighted)
         total = float(y.sum())
         if total <= 0.0:  # edgeless graph: stay uniform
             break
@@ -81,7 +80,7 @@ def katz_centrality(graph: Graph, alpha: float = 1e-4, beta: float = 1.0,
     t0 = time.perf_counter()
     step, delta = 0, np.inf
     while step < cfg.max_supersteps and delta > cfg.tolerance:
-        y = gather_neighbor_sum(graph, x, cfg, weighted)
+        y = gather_neighbor_sum(graph, x, weighted)
         new = beta + alpha * y
         delta = float(np.abs(new - x).sum())
         x = new

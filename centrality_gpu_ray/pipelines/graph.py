@@ -15,17 +15,17 @@ Two execution modes (chosen by ``mode`` or edge count):
   ``bincount`` kernels. This is the explicit small-graph collapse the
   reference also has (``PARALLEL_CUTOFF``, ``bcc_bfs.cpp:24,371-472``):
   below ~1e6 edges a distributed shuffle costs more than the compute.
-* ``"distributed"`` — edges stay blocks in the object store; per-vertex
-  state (rank/label vectors, dense ``0..n-1`` ids) is broadcast via one
-  ``ray.put`` per superstep (one copy per *node* on a real cluster, read
-  zero-copy by every task); messages are pre-aggregated per batch and
-  combined by a (optionally salted, two-level) ``groupby``.
+* ``"distributed"`` — edges stay blocks in the object store and are
+  dealt once to a resident edge-shard actor pool (``Graph.pool``,
+  ``pipelines/shards.py``). Per-vertex state (rank/label vectors over
+  dense ``0..n-1`` ids) lives in the pool's vertex-range owner actors;
+  per superstep each shard ``reduceat``s its presorted messages into
+  one partial per destination and each owner combines its range.
 
-The dense-vector state path covers graphs up to
-``EngineConfig.dense_vertex_limit`` vertices (float64 vector ≤ ~40 MB at
-the default). Beyond that the state itself must be sharded — that path
-keeps state as a Dataset keyed by vertex and replaces the broadcast with
-a co-partitioned join; see ``pipelines/pagerank.py`` docstring.
+The dense-id path covers graphs up to ``EngineConfig.dense_vertex_limit``
+vertices, with ``node_ids`` held on the driver. Beyond that the vertex
+dictionary itself is sharded (``pipelines/vertexdict.py``) and results
+come back as Datasets built from the owners' chunks.
 """
 
 from __future__ import annotations

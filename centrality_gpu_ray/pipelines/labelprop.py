@@ -4,10 +4,14 @@ Same superstep skeleton as PageRank/CC, but the per-vertex combine is a
 **mode** (most frequent neighbor label, weighted by edge weight), which
 is not a simple associative reduce: it needs per-(vertex, label) count
 merging first (SURVEY.md §7.5.2 — "mode needs a count-merge, not a
-row-merge"). So the exchange is: per-batch partial counts
-``(v, label, c)`` → ``groupby(["v","label"]).sum`` → argmax per vertex
-with a deterministic tie-break (max count, then smallest label), which
-makes runs reproducible across partitionings (SURVEY.md §7.5.3).
+row-merge"). So each superstep merges partial counts ``(v, label, c)``
+per (vertex, label) and takes the argmax per vertex with a
+deterministic tie-break (max count, then smallest label), which makes
+runs reproducible across partitionings (SURVEY.md §7.5.3). Distributed
+graphs keep the count tables owner-resident and ship only changed
+labels after the first superstep (:func:`_lp_resident_loop`); a pool
+without that capability falls back to full per-shard counts merged on
+the driver (``ShardPool.gather_label_counts``).
 
 A vertex keeps its current label when that label ties the best count
 (stabilizes convergence); a hard ``max_supersteps`` cap bounds the
@@ -51,39 +55,11 @@ def _pick_labels(v: np.ndarray, lab: np.ndarray, cnt: np.ndarray,
     return new
 
 
-class _CountMsgs:
-    def __init__(self, lab_ref, weighted: bool):
-        self._lab_ref = lab_ref
-        self._lab = None
-        self._weighted = weighted
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        if self._lab is None:
-            self._lab = ray.get(self._lab_ref)
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        w = (batch.column("w").to_numpy().astype(np.int64)
-             if self._weighted else np.ones(s.size, dtype=np.int64))
-        v = np.concatenate([d, s])
-        lab = np.concatenate([self._lab[s], self._lab[d]])
-        ww = np.concatenate([w, w])
-        # partial count per (v, label) — np.unique over stacked pairs
-        pairs = np.stack([v, lab], axis=1)
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        cnt = np.bincount(inv, weights=ww).astype(np.int64)
-        return pa.table({"v": pa.array(uniq[:, 0]), "label": pa.array(uniq[:, 1]),
-                         "c": pa.array(cnt)})
-
-
 def label_propagation(graph: Graph, config: EngineConfig | None = None,
                       weighted: bool = True, max_supersteps: int = 20,
                       metrics: dict | None = None) -> pa.Table:
     """Returns ``(node, label)``; labels are original node ids."""
     import ray
-
-    from centrality_gpu_ray.stages.shuffle import hash_aggregate
 
     cfg = config or graph.config
     if getattr(graph, "sharded", False):
@@ -107,7 +83,7 @@ def label_propagation(graph: Graph, config: EngineConfig | None = None,
 
     t0 = time.perf_counter()
     changed = True
-    if (graph.mode != "local" and cfg.combine != "shuffle"
+    if (graph.mode != "local"
             and getattr(graph.pool, "_frontier_capable", True)):
         # change-driven owner-resident path: ONE full-count superstep
         # builds the resident (v, label)→count tables; every later
@@ -121,40 +97,19 @@ def label_propagation(graph: Graph, config: EngineConfig | None = None,
             if graph.mode == "local":
                 s, d, w = graph.local_arrays()
                 ww = w.astype(np.int64) if weighted else np.ones(s.size, dtype=np.int64)
-                v = np.concatenate([d, s])
-                lab = np.concatenate([labels[s], labels[d]])
+                vv = np.concatenate([d, s])
+                ll = np.concatenate([labels[s], labels[d]])
                 cc = np.concatenate([ww, ww])
-                pairs = np.stack([v, lab], axis=1)
-                uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-                cnt = np.bincount(inv, weights=cc).astype(np.int64)
-                new = _pick_labels(uniq[:, 0], uniq[:, 1], cnt, labels)
             else:
-                lab_ref = ray.put(labels)
-                if cfg.combine == "shuffle":
-                    msgs = graph.edges.map_batches(_CountMsgs(lab_ref, weighted),
-                                                   batch_format="pyarrow",
-                                                   batch_size=cfg.batch_size)
-                    # explicit hash shuffle — Ray's native groupby iterates
-                    # groups in Python (~125 µs/row; collapses at scale)
-                    msgs = hash_aggregate(msgs, ["v", "label"], [("c", "sum")],
-                                          num_partitions=cfg.num_partitions)
-                    rows = [b for b in msgs.iter_batches(batch_size=None,
-                                                         batch_format="pyarrow")]
-                    t = pa.concat_tables(rows) if rows else None
-                    if t is None or t.num_rows == 0:
-                        break
-                    vv = t.column("v").to_numpy()
-                    ll = t.column("label").to_numpy()
-                    cc = t.column("c").to_numpy()
-                else:
-                    vv, ll, cc = graph.pool.gather_label_counts(lab_ref, weighted)
-                    if vv.size == 0:
-                        break
-                # merge per-shard partial counts (exact int sums, order-free)
-                pairs = np.stack([vv, ll], axis=1)
-                uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-                cnt = np.bincount(inv, weights=cc).astype(np.int64)
-                new = _pick_labels(uniq[:, 0], uniq[:, 1], cnt, labels)
+                vv, ll, cc = graph.pool.gather_label_counts(ray.put(labels),
+                                                            weighted)
+                if vv.size == 0:
+                    break
+            # merge partial counts per (v, label) (exact int sums, order-free)
+            pairs = np.stack([vv, ll], axis=1)
+            uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+            cnt = np.bincount(inv, weights=cc).astype(np.int64)
+            new = _pick_labels(uniq[:, 0], uniq[:, 1], cnt, labels)
             changed = bool(np.any(new != labels))
             labels = new
             ckpt.maybe_write(step, _result(graph, labels), changed=changed,

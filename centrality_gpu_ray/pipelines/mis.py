@@ -12,7 +12,7 @@ pure function of (graph, seed): identical across modes, partitionings
 and engines, so a chained-rounds SQL oracle can replay it exactly.
 
 Per round, two min-gathers over the edge set (the SSSP/PageRank
-message shape — map-side combined per block, ``exchange.py``):
+message shape, min-combined per block on the map side):
 
 1. ``minnbr[v] = min(pri[u] : u ~ v, u undecided)`` → winners
    (``pri[v] < minnbr[v]``; no undecided neighbor → wins).
@@ -128,10 +128,10 @@ def _masked_min_gather(graph: Graph, cfg: EngineConfig, mask: np.ndarray,
     msgs = graph.edges.map_batches(_MaskedMinMsgs(state_ref),
                                    batch_format="pyarrow",
                                    batch_size=cfg.batch_size)
-    # NO aggregate_messages here: the map side already min-combines per
-    # block and the duplicate-safe np.minimum.at fold below merges
-    # across blocks — a Ray Data groupby in between is the documented
-    # ~125 µs/row python path (it cost 20+ s per round at sf0.1)
+    # no groupby here: the map side already min-combines per block and
+    # the duplicate-safe np.minimum.at fold below merges across blocks
+    # — a Ray Data groupby in between is the documented ~125 µs/row
+    # python path (it cost 20+ s per round at sf0.1)
     for b in msgs.iter_batches(batch_size=None, batch_format="pyarrow"):
         np.minimum.at(out, b.column("v").to_numpy(),
                       b.column("c").to_numpy())

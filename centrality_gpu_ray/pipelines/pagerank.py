@@ -10,24 +10,20 @@ Execution:
 
 * ``local`` mode — one numpy kernel per superstep over the driver-held
   canonical edge arrays (``np.add.at`` scatter). Bit-deterministic.
-* ``distributed`` mode — per superstep: ``ray.put`` the (small) dense
-  contribution vector ``alpha * rank / deg`` once; ``map_batches`` over
-  the pinned canonical edge blocks emits per-batch pre-aggregated
-  ``(v, partial_sum)`` messages; a salted two-level ``groupby("v")``
-  sum (``pipelines/exchange.py``) merges them; the driver scatters the
-  result back into the dense vector and adds teleport + dangling mass.
-  Per superstep exactly one broadcast + one (pre-aggregated) shuffle —
-  the static edge table never moves.
-
-Scale notes: the dense rank vector costs 8 B/vertex (1e9 vertices =
-8 GB — one object-store copy per *node*, zero-copy reads). Beyond
-``dense_vertex_limit``, state must be sharded: ranks live as a Dataset
-hash-partitioned by vertex, the gather becomes a co-partitioned
-``Dataset.join`` on ``src`` instead of a broadcast, and the scatter is
-unchanged. That path trades one extra shuffle per superstep for
-unbounded vertex counts; it is intentionally not the default because
-for the corpus graph (repos+dirs+commits ≪ rows) the broadcast path is
-strictly faster.
+* ``distributed`` mode — the graph's resident shard pool
+  (``pipelines/shards.py``, ``ShardPool.pr_step``): vertex-range owner
+  actors hold the rank chunks; per superstep the contribution vector
+  ``rank / deg`` is assembled once, every edge shard ``reduceat``s its
+  presorted messages into one partial per destination (a hub's
+  messages fold to one row per shard), and each owner combines the
+  shards' partials for its range and adds teleport + dangling mass.
+  The driver sums 2P scalars — no O(n) serial section; the static edge
+  table never moves. Dense personalized PageRank keeps its teleport
+  vector on the driver and runs :func:`gather_neighbor_sum` on the same
+  pool instead.
+* sharded graphs (above ``dense_vertex_limit``) — :func:`_pagerank_sharded`:
+  the same ``pr_step`` on owners whose degree chunks come from the
+  shards, so the driver never holds an O(n) vector.
 
 Checkpoint/resume: every ``checkpoint_every``-th superstep writes the
 rank vector + lineage manifest (``state/checkpoint.py``); a rerun with
@@ -43,46 +39,17 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
-from centrality_gpu_ray.pipelines.exchange import (
-    aggregate_messages, dense_from_pairs, driver_combine_sum)
 from centrality_gpu_ray.pipelines.graph import Graph
 from centrality_gpu_ray.state.checkpoint import CheckpointManager
 
 
-class _Contribs:
-    """map_batches callable: edge block → pre-aggregated (v, c) partial
-    contributions, reading the broadcast contribution vector zero-copy."""
-
-    def __init__(self, w_ref, weighted: bool = False):
-        self._w_ref = w_ref
-        self._w = None
-        self._weighted = weighted
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        if self._w is None:
-            self._w = ray.get(self._w_ref)
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        v = np.concatenate([d, s])            # messages flow both ways
-        c = np.concatenate([self._w[s], self._w[d]])
-        if self._weighted:
-            we = batch.column("w").to_numpy()
-            c = c * np.concatenate([we, we])
-        uniq, inv = np.unique(v, return_inverse=True)
-        sums = np.bincount(inv, weights=c)
-        return pa.table({"v": pa.array(uniq), "c": pa.array(sums)})
-
-
-def gather_neighbor_sum(graph: Graph, w: np.ndarray, cfg: EngineConfig,
+def gather_neighbor_sum(graph: Graph, w: np.ndarray,
                         weighted: bool = False) -> np.ndarray:
     """One dense-path gather superstep ``y[v] = Σ_{u~v} w[u]``
     (optionally × edge weight) — THE exchange every spectral/superstep
     pipeline shares (PageRank, personalized PageRank, eigenvector,
     Katz). Local mode: np.add.at over driver arrays. Distributed:
-    broadcast w once, then either the salted shuffle combine or the
-    resident-shard reduceat pool."""
+    broadcast w once and sum the resident shards' reduceat partials."""
     import ray
 
     n = graph.num_vertices
@@ -96,26 +63,15 @@ def gather_neighbor_sum(graph: Graph, w: np.ndarray, cfg: EngineConfig,
             np.add.at(y, d, w[s])
             np.add.at(y, s, w[d])
         return y
-    w_ref = ray.put(w)
-    if cfg.combine == "shuffle":
-        # Ray-Data exchange with salted two-level groupby (the
-        # sharded-state scale route, also the salting test surface)
-        msgs = graph.edges.map_batches(_Contribs(w_ref, weighted),
-                                       batch_format="pyarrow",
-                                       batch_size=cfg.batch_size)
-        combined = aggregate_messages(msgs, agg="sum",
-                                      salt_buckets=cfg.salt_buckets)
-        return dense_from_pairs(combined, n, init=0.0)
-    # resident-shard actor pool: one reduceat per shard per superstep
-    return graph.pool.gather_sum(w_ref, n, weighted=weighted)
+    return graph.pool.gather_sum(ray.put(w), n, weighted=weighted)
 
 
 def _superstep(graph: Graph, rank: np.ndarray, alpha: float,
                inv_deg: np.ndarray, dangling: np.ndarray,
-               cfg: EngineConfig, weighted: bool = False,
+               weighted: bool = False,
                tele: np.ndarray | None = None) -> np.ndarray:
     n = graph.num_vertices
-    new = gather_neighbor_sum(graph, rank * inv_deg, cfg, weighted)
+    new = gather_neighbor_sum(graph, rank * inv_deg, weighted)
     dangling_mass = rank[dangling].sum() if dangling.size else 0.0
     if tele is not None:
         return (1.0 - alpha) * tele + alpha * (new + dangling_mass * tele)
@@ -136,10 +92,11 @@ def pagerank(graph: Graph, config: EngineConfig | None = None,
     ``personalization``: ``{original_node_id: weight}`` — replaces the
     uniform teleport with the normalized given vector (personalized
     PageRank); dangling mass follows the same vector. The
-    resident-owners fast path keeps its scalar teleport, so dense PPR
-    runs the driver-combined superstep instead; sharded PPR broadcasts
-    the k-entry sparse vector to the owners (``pool.set_teleport``) and
-    keeps the dense teleport chunks owner-resident."""
+    owner ``pr_step`` keeps its scalar teleport, so dense PPR runs the
+    driver-held ``gather_neighbor_sum`` superstep instead; sharded PPR
+    broadcasts the k-entry sparse vector to the owners
+    (``pool.set_teleport``) and keeps the dense teleport chunks
+    owner-resident."""
     cfg = config or graph.config
     n = graph.num_vertices
     if getattr(graph, "sharded", False):
@@ -192,9 +149,7 @@ def pagerank(graph: Graph, config: EngineConfig | None = None,
     t0 = time.perf_counter()
     step = start_step
     delta = np.inf
-    owners = (graph.mode != "local" and cfg.combine == "owners"
-              and tele is None)
-    if owners:
+    if graph.mode != "local" and tele is None:
         # Pregel-style resident state: rank chunks live in the owner
         # actors; per superstep the driver only launches calls and sums
         # 2P scalars — no O(n) serial section (scaling-efficiency path).
@@ -210,7 +165,7 @@ def pagerank(graph: Graph, config: EngineConfig | None = None,
     else:
         while step < cfg.max_supersteps and delta > cfg.tolerance:
             new = _superstep(graph, rank, cfg.damping, inv_deg,
-                             dangling, cfg, weighted, tele)
+                             dangling, weighted, tele)
             delta = float(np.abs(new - rank).sum())
             rank = new
             ckpt.maybe_write(step, graph.scores_table(rank, "pagerank"),

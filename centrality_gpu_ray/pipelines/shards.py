@@ -10,9 +10,11 @@ over its shard — no per-superstep Ray Data executor startup (measured
 ~1.5 s fixed per execution at sf0.1, 20× the actual compute), no
 re-deriving per-block indices.
 
-Message combine stays on the driver in deterministic shard order
-(shards are a fixed list; per-shard partials are already key-sorted),
-so float accumulation is bit-reproducible across runs and resumes.
+Message combine runs in deterministic shard order (shards are a fixed
+list; per-shard partials are already key-sorted) — on the vertex-range
+owners for the resident-state steps, on the driver for the dense
+``gather_sum``/``gather_bfs`` loops — so float accumulation is
+bit-reproducible across runs and resumes.
 
 On a multi-node cluster the pool spreads across nodes (one actor per
 core), each holding ~|E|/K edges; the broadcast state vector is one
@@ -1717,14 +1719,6 @@ def _shard_class():
                 sums = sums.reshape(self.rep_fold, -1).sum(axis=0)
             return self.uniq_v, sums
 
-        def min_label(self, labels: np.ndarray):
-            """Partial min-label per dst (CC superstep)."""
-            c = labels[self.u]
-            mins = np.minimum.reduceat(c, self.seg) if c.size else c
-            if self.rep_fold > 1:
-                mins = mins.reshape(self.rep_fold, -1).min(axis=0)
-            return self.uniq_v, mins
-
         def label_counts(self, labels: np.ndarray, weighted: bool):
             """Partial (v, label, count) for mode-LP."""
             lab = labels[self.u]
@@ -2635,15 +2629,6 @@ class ShardPool:
         out = np.zeros(num_vertices, dtype=np.float64)
         for uniq_v, sums in parts:  # fixed shard order → deterministic
             np.add.at(out, uniq_v, sums)
-        return out
-
-    def gather_min(self, labels_ref, num_vertices: int, init: np.ndarray) -> np.ndarray:
-        import ray
-
-        parts = ray.get([a.min_label.remote(labels_ref) for a in self.actors])
-        out = init.copy()
-        for uniq_v, mins in parts:
-            np.minimum.at(out, uniq_v, mins)
         return out
 
     def gather_label_counts(self, labels_ref, weighted: bool = True):

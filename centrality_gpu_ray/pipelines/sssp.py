@@ -10,9 +10,9 @@ exactly the engine's min-aggregate exchange with a fused ``+w``
 supersteps; weights are the edge tables' int64 co-occurrence counts,
 so distances are exact integers in float64.
 
-Modes mirror CC: local numpy fixpoint, owner-resident distributed
-superstep (one assembled broadcast + range-split partials per step),
-or the salted-groupby Dataset route.
+Modes mirror CC: local numpy fixpoint, or the owner-resident
+distributed superstep (one assembled broadcast + range-split partials
+per step, ``ShardPool.sssp_step``).
 """
 
 from __future__ import annotations
@@ -23,45 +23,15 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
-from centrality_gpu_ray.pipelines.exchange import aggregate_messages
 from centrality_gpu_ray.pipelines.graph import Graph
 
 _INF = np.float64(np.inf)
-
-
-class _MinPlusMsgs:
-    def __init__(self, dist_ref):
-        self._dist_ref = dist_ref
-        self._dist = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        if self._dist is None:
-            self._dist = ray.get(self._dist_ref)
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        w = batch.column("w").to_numpy().astype(np.float64)
-        v = np.concatenate([d, s])
-        c = np.concatenate([self._dist[s] + w, self._dist[d] + w])
-        finite = np.isfinite(c)
-        v, c = v[finite], c[finite]
-        if v.size == 0:
-            return pa.table({"v": pa.array([], type=pa.int64()),
-                             "c": pa.array([], type=pa.float64())})
-        order = np.lexsort((c, v))
-        v_s, c_s = v[order], c[order]
-        first = np.ones(v_s.size, dtype=bool)
-        first[1:] = v_s[1:] != v_s[:-1]
-        return pa.table({"v": pa.array(v_s[first]), "c": pa.array(c_s[first])})
 
 
 def sssp(graph: Graph, source: int, config: EngineConfig | None = None,
          metrics: dict | None = None) -> pa.Table:
     """Weighted shortest distances from ``source`` (original node id).
     Returns ``(node, distance)``; unreachable vertices get -1."""
-    import ray
-
     cfg = config or graph.config
     if getattr(graph, "sharded", False):
         return _sssp_sharded(graph, source, cfg, metrics)
@@ -75,34 +45,21 @@ def sssp(graph: Graph, source: int, config: EngineConfig | None = None,
     dist[src_idx] = 0.0
     t0 = time.perf_counter()
     step, changed = 0, True
-    if graph.mode != "local" and cfg.combine == "owners":
+    if graph.mode != "local":
         graph.pool.setup_owners(np.ones(n, dtype=np.float64), dist)
         while changed and step < cfg.max_supersteps:
             changed = graph.pool.sssp_step() > 0
             step += 1
         dist = graph.pool.collect_state()
     else:
+        s, d, w = graph.local_arrays()
+        wf = w.astype(np.float64)
         while changed and step < cfg.max_supersteps:
-            if graph.mode == "local":
-                s, d, w = graph.local_arrays()
-                wf = w.astype(np.float64)
-                new = dist.copy()
-                fin_s = np.isfinite(dist[s])
-                fin_d = np.isfinite(dist[d])
-                np.minimum.at(new, d[fin_s], dist[s[fin_s]] + wf[fin_s])
-                np.minimum.at(new, s[fin_d], dist[d[fin_d]] + wf[fin_d])
-            else:
-                dist_ref = ray.put(dist)
-                msgs = graph.edges.map_batches(_MinPlusMsgs(dist_ref),
-                                               batch_format="pyarrow",
-                                               batch_size=cfg.batch_size)
-                msgs = aggregate_messages(msgs, agg="min",
-                                          salt_buckets=cfg.salt_buckets)
-                new = dist.copy()
-                for batch in msgs.iter_batches(batch_size=None,
-                                               batch_format="pyarrow"):
-                    np.minimum.at(new, batch.column("v").to_numpy(),
-                                  batch.column("c").to_numpy())
+            new = dist.copy()
+            fin_s = np.isfinite(dist[s])
+            fin_d = np.isfinite(dist[d])
+            np.minimum.at(new, d[fin_s], dist[s[fin_s]] + wf[fin_s])
+            np.minimum.at(new, s[fin_d], dist[d[fin_d]] + wf[fin_d])
             changed = bool(np.any(new != dist))
             dist = new
             step += 1

@@ -5,8 +5,8 @@ table ``(repo:string, path:string, commit:string, lang:string,
 content:string)``. No such table exists in ``/root/testdata``, so we
 synthesize one deterministically (fixed seed, no external data) for
 tests and benchmarks — including one zipf-skewed "monorepo" and shared
-hub directory prefixes so the derived edge table exercises the salted
-aggregation path (FIXTURES.md §1).
+hub directory prefixes so the derived edge table exercises hub-skewed
+supersteps (FIXTURES.md §1).
 
 Generation is vectorized numpy; rows are a pure function of
 ``(seed, num_rows)`` so every run (and every scale that is a prefix of

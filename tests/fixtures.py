@@ -42,6 +42,26 @@ GOLDEN_COMPONENTS_TEST5 = {**{v: 0 for v in range(9)},
                            **{v: 9 for v in range(9, 15)}}
 
 
+def hub_skewed_graph():
+    """Hub 0 adjacent to every ring vertex, a 60-ring with (i, i+2)
+    chords at every third i, then 30 isolated edges on the highest ids
+    — so the top dense-id range (every owner split from 2 to 5) holds
+    no apex with two out-edges, i.e. no wedges. Int64 weights 1..7 vary
+    along the hub's spokes and the ring, so shortest paths mix both."""
+    import pyarrow as pa
+
+    ring = list(range(1, 61))
+    pairs = [(0, v) for v in ring]
+    pairs += [(ring[i], ring[(i + 1) % 60]) for i in range(60)]
+    pairs += [(ring[i], ring[(i + 2) % 60]) for i in range(0, 60, 3)]
+    pairs += [(1000 + 2 * j, 1001 + 2 * j) for j in range(30)]
+    return pa.table({
+        "src": pa.array([u for u, _ in pairs], type=pa.int64()),
+        "dst": pa.array([v for _, v in pairs], type=pa.int64()),
+        "weight": pa.array([1 + (3 * u + 5 * v) % 7 for u, v in pairs],
+                           type=pa.int64())})
+
+
 def pr_golden_full(name):
     """High-precision power-iteration oracle (float64, tol 1e-14)."""
     import numpy as np

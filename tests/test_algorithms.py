@@ -11,7 +11,7 @@ from centrality_gpu_ray.sources.edgelist import fixture_dataset
 
 from fixtures import (
     GOLDEN_BC, GOLDEN_COMPONENTS_TEST5, GOLDEN_PR, GOLDEN_TRIANGLES_PERVERTEX,
-    GOLDEN_TRIANGLES_TOTAL, pr_golden_full)
+    GOLDEN_TRIANGLES_TOTAL, hub_skewed_graph, pr_golden_full)
 
 
 def _graph(name, mode="auto", **cfg_kw):
@@ -43,24 +43,42 @@ def test_pagerank_distributed_equals_local():
     g_loc = _graph("test4", mode="local")
     cfg = EngineConfig(tolerance=1e-10, max_supersteps=500)
     a = pagerank(g_loc, cfg).to_pandas().sort_values("node")["pagerank"].values
-    for combine in ("driver", "shuffle"):
-        cfg_d = EngineConfig(tolerance=1e-10, max_supersteps=500, combine=combine)
-        g_dist = _graph("test4", mode="distributed")
-        b = pagerank(g_dist, cfg_d).to_pandas().sort_values("node")["pagerank"].values
-        assert np.allclose(a, b, atol=1e-12), combine
-
-
-def test_pagerank_salting_invariance():
-    # salted two-level aggregation must not change results (SURVEY.md §7.5.2)
-    cfg0 = EngineConfig(tolerance=1e-10, max_supersteps=500, salt_buckets=0,
-                        combine="shuffle")
-    cfg8 = EngineConfig(tolerance=1e-10, max_supersteps=500, salt_buckets=8,
-                        combine="shuffle")
-    a = pagerank(_graph("test2", mode="distributed"), cfg0).to_pandas() \
-        .sort_values("node")["pagerank"].values
-    b = pagerank(_graph("test2", mode="distributed"), cfg8).to_pandas() \
-        .sort_values("node")["pagerank"].values
+    g_dist = _graph("test4", mode="distributed")
+    b = pagerank(g_dist, cfg).to_pandas().sort_values("node")["pagerank"].values
     assert np.allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_owner_combine_hub_skew(k):
+    """Skew is handled by the owner combine itself: each shard folds a
+    hub's messages to one partial before the hub's range owner combines
+    them, so a hub-skewed weighted graph on k owners gives the local
+    results — PageRank (plain and weighted) to 1e-12, CC labels, SSSP
+    distances and BFS parents exactly."""
+    import ray.data
+
+    from centrality_gpu_ray.pipelines.bfs import bfs
+    from centrality_gpu_ray.pipelines.shards import ShardPool
+    from centrality_gpu_ray.pipelines.sssp import sssp
+
+    tbl = hub_skewed_graph()
+    g_loc = Graph(ray.data.from_arrow(tbl), mode="local")
+    g = Graph(ray.data.from_arrow(tbl), mode="distributed")
+    g._pool = ShardPool(g.edges, num_shards=k)
+    assert len(g.pool.actors) == k
+    cfg = EngineConfig(tolerance=1e-12, max_supersteps=500)
+    try:
+        for weighted in (False, True):
+            want, got = (pagerank(h, cfg, weighted=weighted)
+                         .column("pagerank").to_numpy() for h in (g_loc, g))
+            assert np.allclose(want, got, atol=1e-12), weighted
+        for run, col in [(connected_components, "component"),
+                         (lambda h: sssp(h, 1), "distance"),
+                         (lambda h: bfs(h, 1), "parent")]:
+            want, got = (run(h).column(col).to_numpy() for h in (g_loc, g))
+            assert np.array_equal(want, got), col
+    finally:
+        g.pool.shutdown()
 
 
 @pytest.mark.parametrize("mode", ["local", "distributed"])

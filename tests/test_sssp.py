@@ -28,15 +28,13 @@ def _graph(mode="auto", **kw):
     return Graph(ray.data.from_arrow(tbl), config=cfg, mode=mode)
 
 
-@pytest.mark.parametrize("mode,combine", [("local", "owners"),
-                                          ("distributed", "owners"),
-                                          ("distributed", "shuffle")])
-def test_sssp_golden(mode, combine):
+@pytest.mark.parametrize("mode", ["local", "distributed"])
+def test_sssp_golden(mode):
     g = _graph(mode=mode)
     m = {}
-    t = sssp(g, 0, EngineConfig(combine=combine), metrics=m).to_pandas()
+    t = sssp(g, 0, metrics=m).to_pandas()
     got = dict(zip(t["node"].astype(int), t["distance"].astype(int)))
-    assert got == _GOLDEN, (mode, combine, got)
+    assert got == _GOLDEN, (mode, got)
     assert m["reached"] == 5
 
 

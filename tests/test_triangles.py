@@ -10,6 +10,9 @@ import ray.data
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
 
+from fixtures import hub_skewed_graph
+
+
 def test_clustering_coefficients_vs_oracle(ray_session):
     """Local clustering vs a brute-force per-vertex oracle, dense and
     sharded paths + the two global metrics."""
@@ -61,20 +64,6 @@ def test_clustering_coefficients_vs_oracle(ray_session):
     assert abs(m2["transitivity"] - m["transitivity"]) < 1e-12
 
 
-def _hub_skewed_graph():
-    """Hub 0 adjacent to every ring vertex, a 60-ring with (i, i+2)
-    chords at every third i, then 30 isolated edges on the highest ids
-    — so the top dense-id range (every owner split tried below) holds
-    no apex with two out-edges, i.e. no wedges."""
-    ring = list(range(1, 61))
-    pairs = [(0, v) for v in ring]
-    pairs += [(ring[i], ring[(i + 1) % 60]) for i in range(60)]
-    pairs += [(ring[i], ring[(i + 2) % 60]) for i in range(0, 60, 3)]
-    pairs += [(1000 + 2 * j, 1001 + 2 * j) for j in range(30)]
-    return pa.table({"src": pa.array([u for u, _ in pairs], type=pa.int64()),
-                     "dst": pa.array([v for _, v in pairs], type=pa.int64())})
-
-
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_triangle_pass_owner_boundaries(ray_session, k):
     """The pool kernel across owner boundaries: exact per-vertex
@@ -86,7 +75,7 @@ def test_triangle_pass_owner_boundaries(ray_session, k):
     from centrality_gpu_ray.pipelines.triangles import (
         _count_local, _orient, _wedges_from_adj)
 
-    g = Graph(ray.data.from_arrow(_hub_skewed_graph()), mode="distributed")
+    g = Graph(ray.data.from_arrow(hub_skewed_graph()), mode="distributed")
     n = g.num_vertices
     s, d, _ = g.local_arrays()
     a, b = _orient(s, d, g.out_degree)
@@ -116,7 +105,7 @@ def test_triangle_pass_rejects_tiled_pool(ray_session):
     would multiply triangles, so the kernel refuses it."""
     from centrality_gpu_ray.pipelines.shards import ShardPool
 
-    g = Graph(ray.data.from_arrow(_hub_skewed_graph()), mode="distributed")
+    g = Graph(ray.data.from_arrow(hub_skewed_graph()), mode="distributed")
     pool = ShardPool(g.edges, num_shards=1, replicas=2)
     try:
         with pytest.raises(ValueError, match="tiled"):
