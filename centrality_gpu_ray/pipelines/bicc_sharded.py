@@ -19,8 +19,8 @@ driver (reference semantics ``bicc.cpp:81-161``):
    parent's interval);
 8. BCC labels = pointer-jumped min-label CC of the auxiliary graph —
    the aux edges are already in parent dense-id space and the shard
-   schema, so they load as a SECONDARY edge set on the same actors
-   (``load_alt_edges``: no second pool spawn, no duplicated owner
+   actors' (s, d, w) numpy edge-part form, so they load as a SECONDARY
+   edge set on the same actors (``load_alt_edges``: no second pool spawn, no duplicated owner
    state; min-label CC is indifferent to duplicate edges) and each
    owner installs its own label range; labels are min dense ids,
    identical to the dense path's ``_min_label_cc``, with aux-isolated
@@ -193,7 +193,7 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     # the aux CC below reuses THIS pool's owners (reset_labels clobbers
     # the BFS-level state vector) — snapshot levels to plasma first
     level_full = asm.remote(*[a.owner_get_state.remote() for a in actors])
-    # the aux edges are already in dense-id space and the shard schema
+    # the aux edges are already in dense-id space and the edge-part form
     # (s, d, w): round-robin the 2P blocks onto the SAME actors as a
     # secondary edge set — no second pool spawn, no duplicated owner
     # state, no Dataset materialization
@@ -253,6 +253,10 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     return state
 
 
+def _pairs_table(cols: dict) -> pa.Table:
+    return pa.table(cols)
+
+
 def articulation_points_distributed(graph: Graph,
                                     config: EngineConfig | None = None,
                                     metrics: dict | None = None):
@@ -266,7 +270,11 @@ def articulation_points_distributed(graph: Graph,
 
     cfg = config or graph.config
     st = _bicc_run(graph, cfg, metrics)
-    pairs = ray.data.from_arrow_refs(list(st["pairs_refs"]))
+    # the owners return numpy columns (actors stay free of Arrow
+    # serialization); one small task per owner makes each an Arrow block
+    to_table = ray.remote(_pairs_table)
+    pairs = ray.data.from_arrow_refs([to_table.remote(r)
+                                      for r in st["pairs_refs"]])
     distinct = hash_distinct(pairs, ["v", "lab"],
                              num_partitions=cfg.num_partitions)
     counts = hash_aggregate(distinct, ["v"], [("lab", "count")],

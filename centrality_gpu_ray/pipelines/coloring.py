@@ -43,43 +43,13 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
+from centrality_gpu_ray.shard_actor import _mex_compact
 from centrality_gpu_ray.pipelines.mis import (_LOCAL_FINISH_EDGES,
                                               _induced_edge_count,
                                               _masked_min_gather,
                                               mis_priorities)
 
 _NOCOLOR = np.int64(-1)
-
-
-def _mex_compact(v: np.ndarray, c: np.ndarray, k: int,
-                 mod: int) -> np.ndarray:
-    """Smallest color ≥ 0 absent from each index's pair list, for
-    indices ``v`` in [0, k); colors must be < ``mod`` − 1.  Indices
-    with no pairs get 0.  Output is a k-vector — callers with a large
-    id space pass compacted ranks so the output stays candidate-sized
-    (the owner-resident JP path), full-n callers pass k = n."""
-    mex = np.zeros(k, dtype=np.int64)
-    if v.size == 0:
-        return mex
-    keys = v * np.int64(mod) + np.minimum(c, mod - 2) + 1
-    uniq = np.unique(keys)
-    uv = uniq // np.int64(mod)
-    uc = uniq % np.int64(mod) - 1
-    starts = np.flatnonzero(np.r_[True, uv[1:] != uv[:-1]])
-    seg_of = np.repeat(np.arange(starts.size), np.diff(np.r_[starts,
-                                                             uv.size]))
-    pos = np.arange(uv.size, dtype=np.int64) - starts[seg_of]
-    # colors sorted unique per vertex: mex = first position where
-    # color != position, else the segment length
-    mism = uc != pos
-    cand = np.where(mism, pos, np.iinfo(np.int64).max)
-    first_mism = np.full(starts.size, np.iinfo(np.int64).max)
-    np.minimum.at(first_mism, seg_of, cand)
-    seg_len = np.diff(np.r_[starts, uv.size])
-    mex_seg = np.where(first_mism < np.iinfo(np.int64).max,
-                       first_mism, seg_len)
-    mex[uv[starts]] = mex_seg
-    return mex
 
 
 def _mex_per_vertex(v: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:

@@ -306,10 +306,9 @@ def _sgns_task():
         import ray
 
         @ray.remote(num_returns=2)
-        def block_grads(t: pa.Table, w_in, w_out, cdf, bounds, it: int,
+        def block_grads(part: dict, w_in, w_out, cdf, bounds, it: int,
                         neg: int, seed: int, dim: int, chunk: int):
-            c_all = t.column("center").to_numpy()
-            x_all = t.column("context").to_numpy()
+            c_all, x_all = part["center"], part["context"]
             z = np.empty(0, dtype=np.int64)
             if c_all.size == 0:
                 return tuple(
@@ -371,7 +370,7 @@ def sgns_train_sharded(pairs, n_nodes: int, dim: int = 32, neg: int = 5,
     state-only pool."""
     import ray
 
-    from centrality_gpu_ray.pipelines.shards import ShardPool, _blocks
+    from centrality_gpu_ray.pipelines.shards import ShardPool, _numpy_blocks
 
     if isinstance(pairs, pa.Table):
         import ray.data as rd
@@ -385,9 +384,7 @@ def sgns_train_sharded(pairs, n_nodes: int, dim: int = 32, neg: int = 5,
     ray.get([a.owner_sgns_init.remote(dim, seed) for a in pool.actors])
     losses: list[float] = []
     if n_pairs:
-        blocks = _blocks(pairs)
-        if len(blocks) < P:
-            blocks = _blocks(pairs.repartition(P).materialize())
+        blocks = _numpy_blocks(pairs, P)
         cdf_ref = ray.put(_noise_cdf(pairs, n_nodes, noise_power))
         task = _sgns_task()
         bounds = pool.bounds

@@ -27,32 +27,8 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
+from centrality_gpu_ray.shard_actor import _pick_labels
 from centrality_gpu_ray.state.checkpoint import CheckpointManager
-
-
-def _pick_labels(v: np.ndarray, lab: np.ndarray, cnt: np.ndarray,
-                 current: np.ndarray) -> np.ndarray:
-    """Vectorized argmax-with-tie-break over (v, label, count) rows.
-
-    Order rows by (v, -count, label); the first row per v wins — except
-    the current label also wins on a tied count (checked after)."""
-    n = current.size
-    order = np.lexsort((lab, -cnt, v))
-    v_s, lab_s, cnt_s = v[order], lab[order], cnt[order]
-    first = np.ones(v_s.size, dtype=bool)
-    first[1:] = v_s[1:] != v_s[:-1]
-    best_v, best_lab, best_cnt = v_s[first], lab_s[first], cnt_s[first]
-
-    new = current.copy()
-    new[best_v] = best_lab
-    # keep current label on ties: find rows matching (v, current[v]) with
-    # count == best count of v
-    best_of = np.zeros(n, dtype=cnt.dtype)
-    best_of[best_v] = best_cnt
-    cur_rows = lab_s == current[v_s]
-    tied = cur_rows & (cnt_s == best_of[v_s])
-    new[v_s[tied]] = current[v_s[tied]]
-    return new
 
 
 def label_propagation(graph: Graph, config: EngineConfig | None = None,

@@ -29,48 +29,7 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
-
-
-def _orient(s: np.ndarray, d: np.ndarray, deg: np.ndarray):
-    """Canonical edges → oriented (a, b) with (deg, id) order."""
-    swap = (deg[d] < deg[s]) | ((deg[d] == deg[s]) & (d < s))
-    a = np.where(swap, d, s)
-    b = np.where(swap, s, d)
-    return a, b
-
-
-def _wedges_from_adj(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """All out-neighbor pairs per apex → (apex, x, y), fully vectorized.
-
-    Shift-expansion: with edges sorted by (apex, neighbor), the pairs at
-    distance ``s`` within each apex's run are ``(b[i], b[i+s])`` for all
-    ``i`` whose in-run position leaves room. One vectorized mask per
-    shift, ≤ max-out-degree shifts total — O(#wedges) work, no Python
-    loop over apexes. Orientation bounds out-degree (≈√2m), so the
-    shift count is small even on skewed graphs.
-    """
-    if a.size == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    order = np.lexsort((b, a))
-    a_s, b_s = a[order], b[order]
-    n = a_s.size
-    run_start = np.r_[True, a_s[1:] != a_s[:-1]]
-    starts = np.flatnonzero(run_start)
-    counts = np.diff(np.r_[starts, n])
-    pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-    # each edge position e (in-run pos i of a k-run) is the FIRST element
-    # of (k-1-i) pairs, the second elements being the next k-1-i edges
-    rep = np.repeat(counts, counts) - pos - 1            # pairs led by e
-    total = int(rep.sum())
-    if total == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    first_idx = np.repeat(np.arange(n, dtype=np.int64), rep)
-    seg_start = np.cumsum(rep) - rep                     # output offset per e
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_start, rep)
-    second_idx = first_idx + 1 + within
-    return a_s[first_idx], b_s[first_idx], b_s[second_idx]
+from centrality_gpu_ray.shard_actor import _orient, _wedges_from_adj
 
 
 def triangle_counts(graph: Graph, config: EngineConfig | None = None,

@@ -1,0 +1,244 @@
+"""The shard actor module stays light: it imports no pipeline, pandas or
+Ray Data (an actor process loads whatever its class imports), its
+checkpoint chunks round-trip bit-exactly without pandas, and a graph's
+pool leaves nothing behind in the object store."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
+
+import numpy as np
+import pyarrow.parquet as pq
+
+from centrality_gpu_ray.shard_actor import EdgeShard
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _edges(n: int = 14):
+    """Ring with (i, i+2) chords at every third i (each closes a
+    triangle) and (i, i+5) chords at even i: canonical s < d edges."""
+    pairs = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    pairs |= {tuple(sorted((i, (i + 2) % n))) for i in range(0, n, 3)}
+    pairs |= {tuple(sorted((i, (i + 5) % n))) for i in range(0, n, 2)}
+    s, d = np.array(sorted(pairs), dtype=np.int64).T
+    return n, s, d
+
+
+_GUARD = textwrap.dedent("""
+    import json, os, sys
+
+    import numpy as np
+
+    import centrality_gpu_ray.shard_actor as sa
+
+    n, s, d = json.loads(sys.argv[1])
+    ckpt = sys.argv[2]
+    s, d = np.array(s, dtype=np.int64), np.array(d, dtype=np.int64)
+    w = np.ones(s.size, dtype=np.int64)
+    # two shards, each from numpy slices of the edge arrays (one of them
+    # strided), the form Dataset.to_numpy_refs hands over
+    half = s.size // 2
+    parts = [[{"s": s[:half], "d": d[:half], "w": w[:half]}],
+             [{"s": s[half::2], "d": d[half::2], "w": w[half::2]},
+              {"s": s[half + 1::2], "d": d[half + 1::2],
+               "w": w[half + 1::2]}]]
+    sh = [sa.EdgeShard(*p) for p in parts]
+    P = len(sh)
+    bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
+    lo_hi = [(int(bounds[i]), int(bounds[i + 1])) for i in range(P)]
+
+    # PageRank: degree partials -> owner init -> one superstep
+    deg_outs = [a.degree_partials(bounds) for a in sh]
+    for i, a in enumerate(sh):
+        a.owner_init_from_parts(*lo_hi[i], bounds, n, i, *deg_outs)
+    wm = [a.owner_make_w_mass() for a in sh]
+    w_full = np.concatenate([x[0] for x in wm])
+    mass = sum(x[1] for x in wm)
+    outs = [a.shard_gather_sum(bounds, False, w_full) for a in sh]
+    for i, a in enumerate(sh):
+        a.owner_combine_pr(0.15 / n, mass, n, 0.85, i, *outs)
+    pr = np.concatenate([a.owner_get_state() for a in sh])
+
+    # checkpoint write of the PageRank chunks
+    rows = [a.owner_write_chunk(os.path.join(ckpt, f"o{i}.parquet"))
+            for i, a in enumerate(sh)]
+
+    # label propagation: first change-driven decide from id labels
+    for i, a in enumerate(sh):
+        a.owner_set_range(*lo_hi[i])
+        a.owner_init_labels()
+    labels = np.arange(n, dtype=np.float64)
+    outs = [a.shard_gather_label_counts(bounds, labels, False) for a in sh]
+    for i, a in enumerate(sh):
+        a.owner_lp_init_resident(i, *outs)
+    lp = np.concatenate([a.owner_get_state() for a in sh])
+
+    # triangles: the four owner-routed rounds
+    deg_outs = [a.degree_partials(bounds) for a in sh]
+    deg = np.concatenate([a.owner_tri_degree(*lo_hi[i], i, *deg_outs)
+                          for i, a in enumerate(sh)])
+    e_outs = [a.shard_tri_orient(P, deg) for a in sh]
+    w_outs = [a.owner_tri_wedges(n, deg, i, *e_outs)
+              for i, a in enumerate(sh)]
+    c_outs = [a.owner_tri_match(n, bounds, i, *w_outs)
+              for i, a in enumerate(sh)]
+    for i, a in enumerate(sh):
+        a.owner_tri_fold(i, *c_outs)
+    tri = np.concatenate([a.owner_get_state() for a in sh])
+
+    heavy = sorted(m for m in sys.modules
+                   if m.split(".")[0] == "pandas"
+                   or m == "ray.data" or m.startswith("ray.data.")
+                   or m.startswith(("centrality_gpu_ray.pipelines",
+                                    "centrality_gpu_ray.functions",
+                                    "centrality_gpu_ray.stages")))
+    print(json.dumps({"heavy": heavy, "pr": pr.tolist(), "lp": lp.tolist(),
+                      "tri": tri.tolist(), "rows": rows}))
+""")
+
+
+def test_shard_actor_imports_no_engine_pandas_or_ray_data(tmp_path):
+    """Run PageRank, LP, triangle and checkpoint-write kernels on the
+    plain class in a fresh interpreter; it must load no pandas, Ray
+    Data or engine pipeline module. (Checked outside Ray on purpose: a
+    live actor may be handed a worker that already loaded them.)"""
+    n, s, d = _edges()
+    out = subprocess.run(
+        [sys.executable, "-c", _GUARD,
+         json.dumps([n, s.tolist(), d.tolist()]), str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["heavy"] == []
+
+    # the kernels still compute: independent numpy references
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[s, d] = adj[d, s] = 1
+    deg = adj.sum(axis=1)
+    pr0 = np.full(n, 1.0 / n)
+    pr1 = 0.15 / n + 0.85 * (adj @ (pr0 / deg))
+    np.testing.assert_allclose(got["pr"], pr1, rtol=0, atol=1e-15)
+    assert sum(got["rows"]) == n
+    # first LP decide from distinct id labels: every count is 1, so each
+    # vertex takes its smallest neighbour's id
+    lp1 = [int(np.flatnonzero(adj[v]).min()) for v in range(n)]
+    assert [int(x) for x in got["lp"]] == lp1
+    tri = np.diag(adj @ adj @ adj) // 2
+    assert [int(x) for x in got["tri"]] == tri.tolist()
+    assert tri.sum() > 0
+
+
+def _owner(lo: int, hi: int) -> EdgeShard:
+    a = EdgeShard()
+    a.owner_set_range(lo, hi)
+    return a
+
+
+def test_checkpoint_chunks_round_trip_bit_exact(tmp_path):
+    """float64 state and int64 labels (one of them a strided slice) go
+    through the from_buffers write and the buffer read bit-exactly."""
+    rng = np.random.default_rng(7)
+    base = rng.random(3 * 50)
+    cases = {
+        "f64": base[:50],
+        "f64_strided": base[::3],
+        "neg_zero_inf": np.array([-0.0, np.inf, -np.inf, 5e-324, 1.0]),
+        "i64": rng.integers(-2**40, 2**40, size=50),
+        "i64_strided": rng.integers(0, 2**52, size=150)[1::3],
+        "empty": np.empty(0, dtype=np.float64),
+    }
+    for name, vec in cases.items():
+        path = str(tmp_path / f"{name}.parquet")
+        src = _owner(10, 10 + vec.size)
+        src.state = vec
+        assert src.owner_write_chunk(path) == vec.size
+        col = pq.read_table(path).column("value")
+        assert col.type.to_pandas_dtype() == vec.dtype, name
+        assert np.array_equal(col.to_numpy(), vec), name
+        dst = _owner(10, 10 + vec.size)
+        dst.owner_load_chunk(path)
+        want = vec.astype(np.float64)
+        assert dst.state.dtype == np.float64
+        assert dst.state.tobytes() == want.tobytes(), name
+    # the sampled-BC accumulator takes the same path
+    src = _owner(0, 4)
+    src.b_bc = np.array([0.5, 1.25, 0.0, 3.0])
+    src.owner_write_chunk(str(tmp_path / "bc.parquet"), "bc")
+    dst = _owner(0, 4)
+    dst.owner_load_chunk(str(tmp_path / "bc.parquet"), "bc")
+    assert dst.b_bc.tobytes() == src.b_bc.tobytes()
+
+
+def test_resume_owners_restores_state_bit_exact(tmp_path):
+    import pyarrow as pa
+    import ray.data
+
+    from centrality_gpu_ray.pipelines.shards import ShardPool
+
+    n, s, d = _edges(40)
+    edges = pa.table({"s": s, "d": d, "w": np.ones(s.size, dtype=np.int64)})
+    pool = ShardPool(ray.data.from_arrow(edges), num_shards=3)
+    try:
+        pool.setup_owners_sharded(n)
+        state = np.random.default_rng(3).random(n) * 1e-3
+        state[::7] = np.arange(0, n, 7)           # exact integers too
+        pool.set_state(state)
+        pool.checkpoint_owners(str(tmp_path), "algo", 4)
+        pool.set_state(np.zeros(n))
+        assert pool.resume_owners(str(tmp_path), "algo") == 4
+        assert pool.collect_state().tobytes() == state.tobytes()
+    finally:
+        pool.shutdown()
+
+
+def _store_bytes() -> int:
+    import ray
+    from ray.autoscaler.v2.sdk import get_cluster_status
+
+    status = get_cluster_status(ray.get_runtime_context().gcs_address)
+    for usage in status.cluster_resource_usage:
+        if usage.resource_name == "object_store_memory":
+            return int(usage.used)
+    return 0
+
+
+def _settled_store_bytes(limit: float = 10.0) -> int:
+    """Object-store bytes once three half-second polls agree."""
+    last, same, t_end = None, 0, time.monotonic() + limit
+    while time.monotonic() < t_end:
+        cur = _store_bytes()
+        same = same + 1 if cur == last else 0
+        if same == 2:
+            break
+        last = cur
+        time.sleep(0.5)
+    return cur
+
+
+def test_graph_and_pool_leave_no_store_bytes():
+    """Building a dense graph, spawning its pool and shutting both down
+    returns the object store to its baseline (a remap id vector used to
+    stay behind: n·8 + 248 bytes per graph)."""
+    import pyarrow as pa
+    import ray.data
+
+    from centrality_gpu_ray.pipelines.graph import Graph
+
+    rng = np.random.default_rng(11)
+    src = rng.integers(0, 6000, size=20000) * 3 + 1
+    dst = rng.integers(0, 6000, size=20000) * 3 + 1
+    tbl = pa.table({"src": src, "dst": dst})
+    gc.collect()
+    base = _settled_store_bytes()
+    for _ in range(2):
+        g = Graph(ray.data.from_arrow(tbl), mode="distributed")
+        assert g.num_vertices > 5000
+        g.pool.shutdown()
+        del g
+        gc.collect()
+    assert _settled_store_bytes() <= base

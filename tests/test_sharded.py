@@ -660,12 +660,11 @@ def test_alt_edge_set_cc_on_same_actors():
         ray.get([a.owner_get_state.remote() for a in pool.actors]))
     assert set(prim_lab.astype(int)) == {0}
 
-    # secondary edge set: two components {0,1,2} and {4,5}; 3,6,7 isolated
-    alt = pa.table({
-        "s": pa.array([0, 1, 4], type=pa.int64()),
-        "d": pa.array([1, 2, 5], type=pa.int64()),
-        "w": pa.array([1, 1, 1], type=pa.int64()),
-    })
+    # secondary edge set: two components {0,1,2} and {4,5}; 3,6,7
+    # isolated — in the numpy edge-part form the shard actors read
+    alt = {"s": np.array([0, 1, 4], dtype=np.int64),
+           "d": np.array([1, 2, 5], dtype=np.int64),
+           "w": np.array([1, 1, 1], dtype=np.int64)}
     counts = ray.get([pool.actors[0].load_alt_edges.remote(alt)]
                      + [a.load_alt_edges.remote()
                         for a in pool.actors[1:]])
