@@ -524,20 +524,16 @@ def run_scaling_job() -> dict:
 
     canon_ds = ray.data.read_parquet(cache)
     g = Graph(canon_ds, config=cfg, normalized=True, mode="distributed")
-    n1 = g.num_vertices
-    deg1 = g.out_degree
+    n = g.num_vertices
     # same-vertex multigraph tiling (stride=0): R× the messages per
     # superstep over the same vertex set, so per-superstep kernel work
     # scales R× while the state vector stays cache-resident. Each edge
-    # effectively has multiplicity R, so inv_deg scales by 1/R and the
+    # effectively has multiplicity R: the shards' degree partials fold
+    # the replicas, so the owners' inv_deg is 1/(R·deg) and the
     # converged ranks (and superstep count) equal the base graph's —
     # same job, R× the message throughput to measure.
     pool = ShardPool(g.edges, replicas=replicas, stride=0)
-    n = n1
-    inv_deg = np.zeros(n1, dtype=np.float64)
-    nz = deg1 > 0
-    inv_deg[nz] = 1.0 / (deg1[nz] * replicas)
-    pool.setup_owners(inv_deg, np.full(n, 1.0 / n, dtype=np.float64))
+    pool.setup_owners(n)
 
     num_edges = g.num_edges * replicas
     pool.pr_step(cfg.damping)  # warm-up (worker spawn, remote-fn export)

@@ -22,11 +22,12 @@ class EngineConfig:
         batch_size: rows per ``map_batches`` batch in Dataset-side edge
             passes (graph build, MIS, link prediction, ...).
         num_partitions: target partition count for shuffles / edge layout.
-        dense_vertex_limit: graphs with at most this many vertices use
-            the dense-vector fast path (driver-held float64/int64 numpy
-            state, broadcast by ``ray.put`` per superstep — one
-            object-store copy per node on a real cluster). Larger
-            graphs use the fully-sharded sparse path.
+        dense_vertex_limit: graphs with at most this many vertices keep
+            their sorted original ids on the driver (ids resolve by a
+            driver-side search, scores come back as one ``pa.Table``).
+            Larger graphs shard the vertex dictionary and return
+            Datasets. Both run the same owner supersteps when
+            distributed.
         checkpoint_dir: directory for per-superstep Parquet checkpoints
             + lineage manifests; None disables checkpointing.
         checkpoint_every: checkpoint every k-th superstep.

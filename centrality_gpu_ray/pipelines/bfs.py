@@ -3,19 +3,22 @@
 The reference's direction-optimizing BFS (``bcc_bfs_do_bfs``
 ``bcc_bfs.cpp:300-604``: Beamer α/β switch at 542-567, per-thread
 frontier buffers merged by thread 0, ``PARALLEL_CUTOFF`` serial
-fallback) maps to: driver superstep loop; per superstep a
-**frontier-driven gather** — each resident edge shard
-(``ShardPool.gather_bfs``) masks its messages by the broadcast frontier
-bitmap and returns the min parent per unvisited neighbor, and the
-driver keeps the min across shards. The α/β switch is subsumed because
-the gather always scans the shard vectorized and masks by frontier
-membership, which is the bottom-up formulation (sharded graphs switch
-direction explicitly, ``bfs_step_sharded``). The serial fallback is the
-engine's ``local`` mode (whole edge table on the driver).
+fallback) maps to: driver superstep loop over owner-resident level and
+parent vectors on the shard pool (``ShardPool.bfs_step_sharded``, dense
+and sharded graphs alike). Per superstep each edge shard returns the
+min parent per newly reached neighbor and each range owner adopts the
+min across shards. A small frontier (< n/8) touches only its own
+adjacency segments (top-down); a wide one streams all messages against
+the assembled level vector (bottom-up) — the α/β switch. The serial
+fallback is the engine's ``local`` mode (whole edge table on the
+driver). Both loops run until a level adds no vertex, so a long path
+is never cut short by ``max_supersteps``.
 
-Returns ``(node, level, parent)``; unreachable vertices get level −1,
-parent −1. Parent selection is deterministic: min-id neighbor among
-those at level−1 (the reference takes OpenMP scan order, which is not).
+Returns ``(node, level, parent[, disc_time])``; unreachable vertices
+get level −1, parent −1. Parent selection is deterministic: min-id
+neighbor among those at level−1 (the reference takes OpenMP scan
+order, which is not). ``disc_time`` (dense graphs only) is each
+reached vertex's rank in (level, node id) order.
 """
 
 from __future__ import annotations
@@ -30,123 +33,92 @@ from centrality_gpu_ray.pipelines.graph import Graph
 
 
 def bfs(graph: Graph, source: int, config: EngineConfig | None = None,
-        metrics: dict | None = None) -> pa.Table:
-    """BFS from `source` (an *original* node id)."""
-    import ray
-
+        metrics: dict | None = None):
+    """BFS from `source` (an *original* node id): a ``pa.Table`` on
+    dense graphs, a Dataset of (node, level, parent) on sharded ones."""
     cfg = config or graph.config
-    if getattr(graph, "sharded", False):
-        return _bfs_sharded(graph, source, cfg, metrics)
-    n = graph.num_vertices
-    src_idx = int(np.searchsorted(graph.node_ids, source))
-    if src_idx >= n or graph.node_ids[src_idx] != source:
+    src = graph.dense_index(np.array([source], dtype=np.int64))
+    if src is None:
         raise ValueError(f"source {source} not in graph")
+    src = int(src[0])
+    t0 = time.perf_counter()
+    if graph.mode == "local":
+        level, parent = _bfs_local(graph, src)
+        depth, reached = int(level.max()), int((level >= 0).sum())
+        out = pa.table({
+            "node": pa.array(graph.node_ids, type=pa.int64()),
+            "level": pa.array(level),
+            "parent": pa.array(np.where(
+                parent >= 0, graph.node_ids[np.maximum(parent, 0)], -1)),
+        })
+    else:
+        depth, reached = _bfs_pool(graph, src, cfg)
+        out = graph.owner_scores(graph.pool, "level", cast="int64",
+                                 aux_col="parent", aux_ids=True)
+    if metrics is not None:
+        metrics.update({"sec": time.perf_counter() - t0, "depth": depth,
+                        "reached": reached,
+                        "mode": "sharded" if graph.sharded else graph.mode})
+    if graph.sharded:
+        return out
+    level = out.column("level").to_numpy()
+    disc = np.full(level.size, -1, dtype=np.int64)
+    order = np.argsort(level, kind="stable")  # dense id = node-id order
+    order = order[level[order] >= 0]
+    disc[order] = np.arange(order.size, dtype=np.int64)
+    return out.append_column("disc_time", pa.array(disc))
 
+
+def _bfs_local(graph: Graph, src: int):
+    """Driver-numpy level/parent vectors (dense ids)."""
+    n = graph.num_vertices
+    s, d, _ = graph.local_arrays()
     level = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
-    # discovery time (reference arrangelevels.cpp:11-53): sequential
-    # rank in (level, node-id) order — deterministic, unlike the
-    # reference's OpenMP scan order
-    disc = np.full(n, -1, dtype=np.int64)
-    level[src_idx] = 0
-    disc[src_idx] = 0
-    next_disc = 1
-    frontier = np.array([src_idx], dtype=np.int64)
-    t0 = time.perf_counter()
+    level[src] = 0
+    frontier = np.array([src], dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
         in_f = np.zeros(n, dtype=bool)
         in_f[frontier] = True
-        if graph.mode == "local":
-            s, d, _ = graph.local_arrays()
-            v = np.concatenate([d[in_f[s]], s[in_f[d]]])
-            p = np.concatenate([s[in_f[s]], d[in_f[d]]])
-            keep = level[v] == -1
-            v, p = v[keep], p[keep]
-        else:
-            v, p = graph.pool.gather_bfs(ray.put(in_f), ray.put(level >= 0))
-        if v.size == 0:
-            break
-        # min parent per newly reached v (also merges the shards' partials)
+        v = np.concatenate([d[in_f[s]], s[in_f[d]]])
+        p = np.concatenate([s[in_f[s]], d[in_f[d]]])
+        keep = level[v] == -1
+        v, p = v[keep], p[keep]
+        # min parent per newly reached v
         order = np.lexsort((p, v))
         v, p = v[order], p[order]
         first = np.ones(v.size, dtype=bool)
         first[1:] = v[1:] != v[:-1]
-        new, new_par = v[first], p[first]
-        level[new] = depth
-        parent[new] = new_par
-        frontier = np.sort(new)
-        disc[frontier] = next_disc + np.arange(frontier.size, dtype=np.int64)
-        next_disc += frontier.size
-
-    if metrics is not None:
-        metrics.update({"sec": time.perf_counter() - t0, "depth": depth - 1,
-                        "reached": int((level >= 0).sum()), "mode": graph.mode})
-    par_orig = np.where(parent >= 0, graph.node_ids[np.maximum(parent, 0)], -1)
-    return pa.table({
-        "node": pa.array(graph.node_ids, type=pa.int64()),
-        "level": pa.array(level),
-        "parent": pa.array(par_orig.astype(np.int64)),
-        "disc_time": pa.array(disc),
-    })
+        frontier = v[first]
+        level[frontier] = depth
+        parent[frontier] = p[first]
+    return level, parent
 
 
-def _bfs_sharded(graph: Graph, source: int, cfg: EngineConfig,
-                 metrics: dict | None):
-    """>dense_vertex_limit BFS: level + parent vectors live sharded in
-    the owner actors. Returns a Dataset of (node, level, parent) in
-    original ids (unreached -1; ``disc_time`` is dense-path only)."""
+def _bfs_pool(graph: Graph, src: int, cfg: EngineConfig):
+    """Owner-resident level (state) and parent (aux) vectors on the
+    graph's pool; returns (depth, #reached)."""
     import ray
 
-    from centrality_gpu_ray.pipelines.vertexdict import (_DictReader,
-                                                         scores_dataset)
-
-    reader = _DictReader((graph.vdict.mins, graph.vdict.offsets,
-                          graph.vdict.block_refs))
-    src_arr = np.array([source], dtype=np.int64)
-    if source < int(graph.vdict.mins[0]):
-        raise ValueError(f"source {source} not in graph")
-    src_dense = int(reader.to_dense(src_arr)[0])
-    if (not 0 <= src_dense < graph.num_vertices
-            or int(reader.to_original(
-                np.array([src_dense], dtype=np.int64))[0]) != source):
-        raise ValueError(f"source {source} not in graph")
-
     pool = graph.pool
-    pool.setup_owners_sharded(graph.num_vertices)
+    pool.setup_owner_ranges(graph.num_vertices)
     ray.get([a.owner_fill_state.remote(-1.0) for a in pool.actors])
     ray.get([a.owner_fill_aux.remote(-1.0) for a in pool.actors])
-    ray.get([a.owner_set_value.remote(src_dense, 0.0) for a in pool.actors])
-
-    t0 = time.perf_counter()
+    ray.get([a.owner_set_value.remote(src, 0.0) for a in pool.actors])
     depth, reached, frontier = 0, 1, 1
-    while depth < cfg.max_supersteps:
+    while True:
         # frontier = |level depth| from the previous superstep's adopt
         # count — drives the top-down/bottom-up direction switch
         new = pool.bfs_step_sharded(
             depth,
             frontier_size=frontier if cfg.bfs_direction_opt else None)
         if new == 0:
-            break
+            return depth, reached
         reached += new
         frontier = new
         depth += 1
-    if metrics is not None:
-        metrics.update({"sec": time.perf_counter() - t0, "depth": depth,
-                        "reached": reached, "mode": "sharded"})
-
-    ds = scores_dataset(graph.vdict, pool, "level", aux_col="parent",
-                        aux_to_original=True)
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t.column("node"),
-            "level": pa.array(t.column("level").to_numpy().astype(np.int64)),
-            "parent": t.column("parent"),
-        })
-
-    return ds.map_batches(finish, batch_format="pyarrow")
 
 
 def approx_diameter(graph: Graph, num_samples: int = 32, seed: int = 42,

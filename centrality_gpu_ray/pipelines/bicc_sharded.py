@@ -81,6 +81,8 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     import ray
     import ray.data
 
+    from centrality_gpu_ray.pipelines.shards import assemble
+
     cached = getattr(graph, "_bicc_dist", None)
     if cached is not None:
         if metrics is not None:
@@ -104,7 +106,7 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     actors = pool.actors
 
     # 1. CC → roots (state = min-id labels, then re-init as BFS forest)
-    pool.setup_owners_sharded(graph.num_vertices)
+    pool.setup_owners(graph.num_vertices)
     pool.reset_labels()
     steps = 0
     while pool.cc_step() > 0:
@@ -117,8 +119,7 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     # serialize, so the get materializes first): betweenness_decomposed
     # needs exactly this min-label CC again for component sizes and
     # would otherwise re-run the supersteps from scratch
-    comp_full = pool._assembler().remote(
-        *[a.owner_get_state.remote() for a in actors])
+    comp_full = assemble([a.owner_get_state.remote() for a in actors])
     roots = int(sum(ray.get([a.owner_bicc_init.remote() for a in actors])))
     _mark("cc_roots")
 
@@ -138,14 +139,10 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     max_lvl = depth
     _mark("bfs_forest")
 
-    asm = pool._assembler()
-    pair_asm = pool._assembler_pair()
-    cols_asm = pool._assembler_cols()
-
     # 3. subtree sizes, bottom-up
     for k in range(max_lvl, 0, -1):
         prs = [a.owner_bicc_size_partial.remote(float(k)) for a in actors]
-        pair = pair_asm.remote(*prs)
+        pair = assemble(prs)
         ray.get([a.owner_bicc_size_combine.remote(pair) for a in actors])
     _mark("subtree_sizes")
 
@@ -158,16 +155,16 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     for k in range(max_lvl):
         trs = [a.owner_bicc_child_triple.remote(float(k + 1))
                for a in actors]
-        triple = cols_asm.remote(*trs)
+        triple = assemble(trs)
         outs = [a.owner_bicc_assign_child_pre.remote(triple)
                 for a in actors]
-        pair = pair_asm.remote(*outs)
+        pair = assemble(outs)
         ray.get([a.owner_bicc_write_pre.remote(pair) for a in actors])
     _mark("preorder")
 
     # 5. per-vertex non-tree preorder min/max (one full-edge pass)
-    parent_full = asm.remote(*[a.owner_get_aux.remote() for a in actors])
-    pre_full = asm.remote(*[a.owner_get_bicc.remote("pre") for a in actors])
+    parent_full = assemble([a.owner_get_aux.remote() for a in actors])
+    pre_full = assemble([a.owner_get_bicc.remote("pre") for a in actors])
     outs = [a.shard_bicc_nontree_minmax.remote(pool.bounds, parent_full,
                                                pre_full)
             for a in actors]
@@ -178,13 +175,12 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     # 6. OUTMIN/OUTMAX, bottom-up
     for k in range(max_lvl, 0, -1):
         trs = [a.owner_bicc_out_partial.remote(float(k)) for a in actors]
-        triple = cols_asm.remote(*trs)
+        triple = assemble(trs)
         ray.get([a.owner_bicc_out_combine.remote(triple) for a in actors])
     _mark("outminmax")
 
     # 7. auxiliary edges (rule A shard-side, rule B owner-side)
-    size_full = asm.remote(*[a.owner_get_bicc.remote("size")
-                             for a in actors])
+    size_full = assemble([a.owner_get_bicc.remote("size") for a in actors])
     aux_refs = ([a.shard_bicc_rule_a.remote(parent_full, pre_full, size_full)
                  for a in actors]
                 + [a.owner_bicc_rule_b.remote(parent_full, pre_full,
@@ -192,7 +188,7 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
                    for a in actors])
     # the aux CC below reuses THIS pool's owners (reset_labels clobbers
     # the BFS-level state vector) — snapshot levels to plasma first
-    level_full = asm.remote(*[a.owner_get_state.remote() for a in actors])
+    level_full = assemble([a.owner_get_state.remote() for a in actors])
     # the aux edges are already in dense-id space and the edge-part form
     # (s, d, w): round-robin the 2P blocks onto the SAME actors as a
     # secondary edge set — no second pool spawn, no duplicated owner
@@ -218,8 +214,8 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
                 raise RuntimeError(
                     f"bicc: aux-graph CC exceeded max_supersteps="
                     f"{cfg.max_supersteps}")
-        aux_label_full = asm.remote(
-            *[a.owner_get_state.remote() for a in actors])
+        aux_label_full = assemble(
+            [a.owner_get_state.remote() for a in actors])
         ray.get([a.owner_bicc_set_label_chunk.remote(aux_label_full)
                  for a in actors])
     else:
@@ -227,8 +223,8 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
                  for a in actors])
     ray.get([a.drop_alt_edges.remote() for a in actors])
     _mark("aux_cc_labels")
-    label_full = asm.remote(*[a.owner_get_bicc.remote("label")
-                              for a in actors])
+    label_full = assemble([a.owner_get_bicc.remote("label")
+                           for a in actors])
     # snapshot the articulation pair tables NOW: they read live owner
     # state (aux/labels), which a later algorithm reusing the same pool
     # would clobber — the cached refs below are immutable plasma objects

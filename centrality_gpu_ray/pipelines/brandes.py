@@ -334,7 +334,7 @@ def _betweenness_sampled_sharded(graph: Graph, cfg: EngineConfig,
                     "sampled weighted BC requires positive integer edge "
                     "weights < 2^31 (exact-equality DAG test; see "
                     "_validate_bc_weights)")
-    pool.setup_owners_sharded(graph.num_vertices)
+    pool.setup_owners(graph.num_vertices)
     pool.brandes_init()
     k = min(max_sources, graph.num_vertices)
     depths = []

@@ -11,9 +11,11 @@ Semantics: ``component(v) = min(original node id in v's component)``
 min-original-id agree). Superstep: every vertex takes the min of its
 own and all neighbors' labels (then one pointer jump); converged when
 nothing changes. Integer min is exact and associative, so any edge
-sharding and owner split give identical results. Distributed graphs
-keep the labels owner-resident on the shard pool (``ShardPool.cc_step``:
-min-gather partials per shard, min-combine + jump per owner range).
+sharding and owner split give identical results. Distributed graphs,
+dense or sharded, keep the labels owner-resident on the shard pool
+(``ShardPool.cc_step``: min-gather partials per shard, min-combine +
+jump per owner range); dense graphs collect them into a table, sharded
+ones emit a Dataset.
 """
 
 from __future__ import annotations
@@ -25,46 +27,22 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
-from centrality_gpu_ray.state.checkpoint import CheckpointManager
+from centrality_gpu_ray.state.checkpoint import LoopCheckpoint
 
 
 def connected_components(graph: Graph, config: EngineConfig | None = None,
-                         metrics: dict | None = None) -> pa.Table:
-    """Returns ``(node, component)`` with component = min node id."""
+                         metrics: dict | None = None):
+    """Returns ``(node, component)`` with component = min node id (a
+    ``pa.Table`` on dense graphs, a Dataset on sharded ones)."""
     cfg = config or graph.config
-    n = graph.num_vertices
-    if getattr(graph, "sharded", False):
-        return _components_sharded(graph, cfg, metrics)
-    labels = np.arange(n, dtype=np.int64)
-    ckpt = CheckpointManager(cfg.checkpoint_dir, "components", cfg.checkpoint_every,
-                             cfg.num_partitions)
-    step = 0
-    resumed = ckpt.resume()
-    if resumed is not None:
-        step, _, state = resumed
-        idx = graph.dense_index(state.column("node").to_numpy())
-        comp = graph.dense_index(state.column("component").to_numpy())
-        if idx is not None and comp is not None and idx.size == n:
-            labels[idx] = comp
-            step += 1
-        else:
-            step = 0  # foreign checkpoint: start over, full budget
-
+    ckpt = LoopCheckpoint(graph, cfg, "components", "component", ids=True)
     t0 = time.perf_counter()
     changed = True
-    if graph.mode != "local":
-        # owner-resident labels: int64 chunks live in the actors
-        graph.pool.setup_owners(np.ones(n, dtype=np.float64),
-                                labels.astype(np.float64))
-        while changed and step < cfg.max_supersteps:
-            changed = graph.pool.cc_step() > 0
-            if cfg.checkpoint_dir is not None and step % cfg.checkpoint_every == 0:
-                labels = graph.pool.collect_state().astype(np.int64)
-                ckpt.maybe_write(step, _result(graph, labels), changed=changed,
-                                 mode=graph.mode)
-            step += 1
-        labels = graph.pool.collect_state().astype(np.int64)
-    else:
+    if graph.mode == "local":
+        start, labels = ckpt.resume()
+        step = start
+        if labels is None:
+            labels = np.arange(graph.num_vertices, dtype=np.int64)
         s, d, _ = graph.local_arrays()
         while changed and step < cfg.max_supersteps:
             new = labels.copy()
@@ -73,46 +51,32 @@ def connected_components(graph: Graph, config: EngineConfig | None = None,
             new = np.minimum(new, new[new])  # pointer jump (O(log n))
             changed = bool(np.any(new != labels))
             labels = new
-            ckpt.maybe_write(step, _result(graph, labels), changed=changed,
-                             mode=graph.mode)
+            ckpt.save(step, labels, changed=changed, mode=graph.mode)
             step += 1
+        out = _result(graph, labels)
+    else:
+        pool = graph.pool
+        pool.setup_owner_ranges(graph.num_vertices)
+        pool.reset_labels()
+        start, _ = ckpt.resume(pool)
+        step = start
+        while changed and step < cfg.max_supersteps:
+            changed = pool.cc_step() > 0
+            ckpt.save(step, pool, changed=changed, mode=graph.mode)
+            step += 1
+        out = graph.owner_scores(pool, "component", ids=True)
     elapsed = time.perf_counter() - t0
 
-    _check_converged(changed, step, cfg, metrics)
-    if metrics is not None:
-        metrics.update({
-            "supersteps": step,
-            "sec": elapsed,
-            "num_components": int(np.unique(labels).size),
-            "mode": graph.mode,
-        })
-    return _result(graph, labels)
-
-
-def _components_sharded(graph: Graph, cfg: EngineConfig,
-                        metrics: dict | None):
-    """>dense_vertex_limit CC: labels live sharded in the owner actors
-    (min-label over dense ids); result is a Dataset of
-    (node, component) in ORIGINAL ids — min dense id maps to min
-    original id because the dictionary is sorted."""
-    from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
-
-    n = graph.num_vertices
-    pool = graph.pool
-    pool.setup_owners_sharded(n)
-    pool.reset_labels()
-    t0 = time.perf_counter()
-    step, changed = 0, True
-    while changed and step < cfg.max_supersteps:
-        changed = pool.cc_step() > 0
-        step += 1
-    elapsed = time.perf_counter() - t0
     _check_converged(changed, step, cfg, metrics)
     if metrics is not None:
         metrics.update({"supersteps": step, "sec": elapsed,
-                        "mode": "sharded"})
-    return scores_dataset(graph.vdict, pool, "component",
-                          to_original_values=True)
+                        "mode": "sharded" if graph.sharded else graph.mode})
+        if start:
+            metrics["resumed_from"] = start - 1
+        if not graph.sharded:
+            metrics["num_components"] = len(
+                np.unique(out.column("component").to_numpy()))
+    return out
 
 
 def _check_converged(changed: bool, step: int, cfg: EngineConfig,

@@ -370,7 +370,8 @@ def sgns_train_sharded(pairs, n_nodes: int, dim: int = 32, neg: int = 5,
     state-only pool."""
     import ray
 
-    from centrality_gpu_ray.pipelines.shards import ShardPool, _numpy_blocks
+    from centrality_gpu_ray.pipelines.shards import (ShardPool, _numpy_blocks,
+                                                     assemble)
 
     if isinstance(pairs, pa.Table):
         import ray.data as rd
@@ -389,10 +390,10 @@ def sgns_train_sharded(pairs, n_nodes: int, dim: int = 32, neg: int = 5,
         task = _sgns_task()
         bounds = pool.bounds
         for it in range(iters):
-            w_in_full = pool._assembler().remote(
-                *[a.owner_sgns_chunk.remote(0) for a in pool.actors])
-            w_out_full = pool._assembler().remote(
-                *[a.owner_sgns_chunk.remote(1) for a in pool.actors])
+            w_in_full = assemble(
+                [a.owner_sgns_chunk.remote(0) for a in pool.actors])
+            w_out_full = assemble(
+                [a.owner_sgns_chunk.remote(1) for a in pool.actors])
             outs, loss_refs = [], []
             for br in blocks:
                 pr, lref = task.remote(br, w_in_full, w_out_full,

@@ -22,10 +22,13 @@ Two execution modes (chosen by ``mode`` or edge count):
   per superstep each shard ``reduceat``s its presorted messages into
   one partial per destination and each owner combines its range.
 
-The dense-id path covers graphs up to ``EngineConfig.dense_vertex_limit``
-vertices, with ``node_ids`` held on the driver. Beyond that the vertex
-dictionary itself is sharded (``pipelines/vertexdict.py``) and results
-come back as Datasets built from the owners' chunks.
+Whether the graph is ``sharded`` decides only how original ids come in
+and how scores go out, never which superstep loop runs. Up to
+``EngineConfig.dense_vertex_limit`` vertices ``node_ids`` sits on the
+driver and owner state comes back as a ``pa.Table``; beyond it the
+vertex dictionary itself is sharded (``pipelines/vertexdict.py``) and
+results come back as Datasets built from the owners' chunks
+(:meth:`Graph.dense_index`, :meth:`Graph.owner_scores`).
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ class Graph:
 
         self._local = None
         self._out_degree = None
-        self._strength = None
         self._pool = None
 
     @property
@@ -164,26 +166,6 @@ class Graph:
                 self._out_degree = deg
         return self._out_degree
 
-    @property
-    def strength(self) -> np.ndarray:
-        """Weighted degree (sum of incident edge weights)."""
-        if self._strength is None:
-            if self.mode == "local":
-                s, d, w = self.local_arrays()
-                st = np.zeros(self.num_vertices, dtype=np.float64)
-                np.add.at(st, s, w)
-                np.add.at(st, d, w)
-                self._strength = st
-            else:
-                st = np.zeros(self.num_vertices, dtype=np.float64)
-                for part in self.edges.map_batches(
-                        _strength_partial, batch_format="pyarrow").iter_batches(
-                        batch_size=None, batch_format="pyarrow"):
-                    np.add.at(st, part.column("v").to_numpy(),
-                              part.column("c").to_numpy())
-                self._strength = st
-        return self._strength
-
     def require_dense(self, op: str) -> None:
         """Loud guard for operators whose driver-resident form is the
         only one (exact all-sources BC is dense-only BY DESIGN — its
@@ -203,15 +185,55 @@ class Graph:
     def dense_index(self, nodes: np.ndarray) -> np.ndarray | None:
         """Original node ids → dense 0..n-1 indices, or None if any id is
         not a vertex of THIS graph (e.g. a checkpoint from a different
-        graph). Clips before the equality check so out-of-range ids fail
-        gracefully instead of raising."""
-        if self.num_vertices == 0:
+        graph, an unknown source). Sharded graphs resolve through the
+        vertex dictionary (O(k) reads of its plasma blocks); the
+        round trip back to original ids is the membership check.
+        Clips before it so out-of-range ids fail gracefully instead of
+        raising."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        n = self.num_vertices
+        if n == 0:
             return None if nodes.size else np.empty(0, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(self.node_ids, nodes),
-                         self.num_vertices - 1)
-        if not np.array_equal(self.node_ids[idx], nodes):
-            return None
-        return idx
+        if self.sharded:
+            from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+
+            reader = _DictReader((self.vdict.mins, self.vdict.offsets,
+                                  self.vdict.block_refs))
+            idx = np.clip(reader.to_dense(nodes), 0, n - 1)
+            back = reader.to_original(idx)
+        else:
+            idx = np.minimum(np.searchsorted(self.node_ids, nodes), n - 1)
+            back = self.node_ids[idx]
+        return idx if np.array_equal(back, nodes) else None
+
+    def owner_scores(self, pool, col: str, cast=None, ids: bool = False,
+                     aux_col: str | None = None, aux_ids: bool = False):
+        """The pool owners' state (and aux) → ``(node, col[, aux_col])``
+        rows in original ids: a ``pa.Table`` on dense graphs, a Dataset
+        (``vertexdict.scores_dataset``) on sharded ones. ``ids`` maps
+        the values (dense vertex ids, e.g. CC labels) to original ids;
+        ``aux_ids`` does the same for non-negative aux values (e.g. BFS
+        parents; negatives become -1). ``cast``: a numpy dtype name or
+        a function applied to the value vector."""
+        if self.sharded:
+            from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
+
+            return scores_dataset(self.vdict, pool, col,
+                                  to_original_values=ids, aux_col=aux_col,
+                                  aux_to_original=aux_ids, value_cast=cast)
+        vals = pool.collect_state()
+        if ids:
+            vals = self.node_ids[vals.astype(np.int64)]
+        if cast is not None:
+            vals = cast(vals) if callable(cast) else vals.astype(cast)
+        out = self.scores_table(vals, col)
+        if aux_col is None:
+            return out
+        aux = pool.collect_state(aux=True)
+        if aux_ids:
+            a = aux.astype(np.int64)
+            aux = np.where(a >= 0, self.node_ids[np.maximum(a, 0)], -1)
+        return out.append_column(aux_col, pa.array(aux))
 
     def scores_table(self, values: np.ndarray, col: str) -> pa.Table:
         """Dense result vector → (node, col) table in original ids."""
@@ -266,11 +288,3 @@ def _degree_partial(batch: pa.Table) -> pa.Table:
     v = np.concatenate([batch.column("s").to_numpy(), batch.column("d").to_numpy()])
     uniq, cnt = np.unique(v, return_counts=True)
     return pa.table({"v": pa.array(uniq), "c": pa.array(cnt.astype(np.int64))})
-
-
-def _strength_partial(batch: pa.Table) -> pa.Table:
-    v = np.concatenate([batch.column("s").to_numpy(), batch.column("d").to_numpy()])
-    w = np.concatenate([batch.column("w").to_numpy(), batch.column("w").to_numpy()])
-    uniq, inv = np.unique(v, return_inverse=True)
-    sums = np.bincount(inv, weights=w)
-    return pa.table({"v": pa.array(uniq), "c": pa.array(sums)})

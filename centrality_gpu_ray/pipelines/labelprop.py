@@ -8,10 +8,10 @@ row-merge"). So each superstep merges partial counts ``(v, label, c)``
 per (vertex, label) and takes the argmax per vertex with a
 deterministic tie-break (max count, then smallest label), which makes
 runs reproducible across partitionings (SURVEY.md §7.5.3). Distributed
-graphs keep the count tables owner-resident and ship only changed
-labels after the first superstep (:func:`_lp_resident_loop`); a pool
-without that capability falls back to full per-shard counts merged on
-the driver (``ShardPool.gather_label_counts``).
+graphs, dense or sharded, keep the count tables owner-resident and ship
+only changed labels after the first superstep (:func:`_lp_pool`); a
+pool without the frontier kernels runs ``ShardPool.lp_step``, the
+full-recompute reference superstep, instead.
 
 A vertex keeps its current label when that label ties the best count
 (stabilizes convergence); a hard ``max_supersteps`` cap bounds the
@@ -28,69 +28,43 @@ import pyarrow as pa
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
 from centrality_gpu_ray.shard_actor import _pick_labels
-from centrality_gpu_ray.state.checkpoint import CheckpointManager
+from centrality_gpu_ray.state.checkpoint import LoopCheckpoint
 
 
 def label_propagation(graph: Graph, config: EngineConfig | None = None,
                       weighted: bool = True, max_supersteps: int = 20,
-                      metrics: dict | None = None) -> pa.Table:
-    """Returns ``(node, label)``; labels are original node ids."""
-    import ray
-
+                      metrics: dict | None = None):
+    """Returns ``(node, label)``; labels are original node ids (a
+    ``pa.Table`` on dense graphs, a Dataset on sharded ones)."""
     cfg = config or graph.config
-    if getattr(graph, "sharded", False):
-        return _labelprop_sharded(graph, cfg, weighted, max_supersteps,
-                                  metrics)
-    n = graph.num_vertices
-    labels = np.arange(n, dtype=np.int64)
-    ckpt = CheckpointManager(cfg.checkpoint_dir, "labelprop", cfg.checkpoint_every,
-                             cfg.num_partitions)
-    step = 0
-    resumed = ckpt.resume()
-    if resumed is not None:
-        step, _, state = resumed
-        idx = graph.dense_index(state.column("node").to_numpy())
-        lab = graph.dense_index(state.column("label").to_numpy())
-        if idx is not None and lab is not None and idx.size == n:
-            labels[idx] = lab
-            step += 1
-        else:
-            step = 0  # foreign checkpoint: start over, full budget
-
+    ckpt = LoopCheckpoint(graph, cfg, "labelprop", "label", ids=True)
     t0 = time.perf_counter()
-    changed = True
-    if (graph.mode != "local"
-            and getattr(graph.pool, "_frontier_capable", True)):
-        # change-driven owner-resident path: ONE full-count superstep
-        # builds the resident (v, label)→count tables; every later
-        # superstep ships only the changed triples and their incident
-        # count deltas (O(Σdeg(changed)), decays geometrically) — no
-        # per-superstep O(m) driver pull.
-        labels, step, changed = _lp_resident_loop(
-            graph, labels, step, max_supersteps, weighted, ckpt)
-    else:
+    if graph.mode == "local":
+        start, labels = ckpt.resume()
+        step = start
+        if labels is None:
+            labels = np.arange(graph.num_vertices, dtype=np.int64)
+        s, d, w = graph.local_arrays()
+        ww = w.astype(np.int64) if weighted else np.ones(s.size, dtype=np.int64)
+        vv = np.concatenate([d, s])
+        cc = np.concatenate([ww, ww])
+        changed = True
         while changed and step < max_supersteps:
-            if graph.mode == "local":
-                s, d, w = graph.local_arrays()
-                ww = w.astype(np.int64) if weighted else np.ones(s.size, dtype=np.int64)
-                vv = np.concatenate([d, s])
-                ll = np.concatenate([labels[s], labels[d]])
-                cc = np.concatenate([ww, ww])
-            else:
-                vv, ll, cc = graph.pool.gather_label_counts(ray.put(labels),
-                                                            weighted)
-                if vv.size == 0:
-                    break
-            # merge partial counts per (v, label) (exact int sums, order-free)
+            ll = np.concatenate([labels[s], labels[d]])
+            # merge partial counts per (v, label) (exact int sums)
             pairs = np.stack([vv, ll], axis=1)
             uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
             cnt = np.bincount(inv, weights=cc).astype(np.int64)
             new = _pick_labels(uniq[:, 0], uniq[:, 1], cnt, labels)
             changed = bool(np.any(new != labels))
             labels = new
-            ckpt.maybe_write(step, _result(graph, labels), changed=changed,
-                             mode=graph.mode)
+            ckpt.save(step, labels, changed=changed, mode=graph.mode)
             step += 1
+        out = _result(graph, labels)
+    else:
+        start, step, changed = _lp_pool(graph, max_supersteps, weighted,
+                                        ckpt)
+        out = graph.owner_scores(graph.pool, "label", ids=True)
     elapsed = time.perf_counter() - t0
 
     if metrics is not None:
@@ -100,26 +74,35 @@ def label_propagation(graph: Graph, config: EngineConfig | None = None,
         metrics.update({
             "supersteps": step,
             "sec": elapsed,
-            "num_labels": int(np.unique(labels).size),
-            "mode": graph.mode,
+            "mode": "sharded" if graph.sharded else graph.mode,
             "converged": not changed,
         })
-    return _result(graph, labels)
+        if start:
+            metrics["resumed_from"] = start - 1
+        if not graph.sharded:
+            metrics["num_labels"] = len(
+                np.unique(out.column("label").to_numpy()))
+    return out
 
 
-def _lp_resident_loop(graph: Graph, labels0: np.ndarray, start_step: int,
-                      max_supersteps: int, weighted: bool,
-                      ckpt: CheckpointManager | None):
-    """Run change-driven LP supersteps over owner-resident state;
-    returns (final labels, step, changed). Superstep semantics are
-    bit-identical to the full-recompute loop (exact integer count
-    invariant + the same `_pick_labels` decide), so checkpoints and the
-    converged flag compare exactly."""
+def _lp_pool(graph: Graph, max_supersteps: int, weighted: bool,
+             ckpt: LoopCheckpoint):
+    """LP supersteps over owner-resident labels; returns (first step,
+    end step, changed). Change-driven on a frontier-capable pool: the
+    first superstep builds the owners' resident (v, label)→count
+    tables, every later one ships only the changed triples and their
+    incident count deltas (O(Σdeg(changed)), decays geometrically).
+    Superstep semantics are bit-identical to the full-recompute
+    ``lp_step`` (exact integer count invariant + the same
+    `_pick_labels` decide), so checkpoints and the converged flag
+    compare exactly. A resume loads the label chunks and the first
+    superstep's full-count build re-derives the count tables."""
     pool = graph.pool
     n = graph.num_vertices
     pool.setup_owner_ranges(n)
-    pool.set_state(labels0.astype(np.float64))
-    step, changed = start_step, True
+    pool.reset_labels()
+    start, _ = ckpt.resume(pool)
+    step, changed = start, True
     triple_ref, nch = None, n
     while changed and step < max_supersteps:
         # adaptive push/pull: while most labels still churn, a full
@@ -128,71 +111,16 @@ def _lp_resident_loop(graph: Graph, labels0: np.ndarray, start_step: int,
         # once changes localize the delta superstep wins by orders of
         # magnitude. Both are exact supersteps — the switch cannot
         # change any decision.
-        if triple_ref is None or nch * 2 > n:
+        if not pool._frontier_capable:
+            nch = pool.lp_step(weighted)
+        elif triple_ref is None or nch * 2 > n:
             nch, triple_ref = pool.lp_init_resident(weighted)
         else:
             nch, triple_ref = pool.lp_delta_step(triple_ref, weighted)
         changed = nch > 0
-        if ckpt is not None and ckpt.root is not None \
-                and step % ckpt.every == 0:
-            labels = pool.collect_state().astype(np.int64)
-            ckpt.maybe_write(step, _result(graph, labels), changed=changed,
-                             mode=graph.mode)
+        ckpt.save(step, pool, changed=int(nch), mode=graph.mode)
         step += 1
-    return pool.collect_state().astype(np.int64), step, changed
-
-
-def _labelprop_sharded(graph: Graph, cfg: EngineConfig, weighted: bool,
-                       max_supersteps: int, metrics: dict | None):
-    """>dense_vertex_limit LP: labels live sharded in the owner actors
-    (change-driven resident count state); returns a Dataset of
-    (node, label) in ORIGINAL ids."""
-    from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
-
-    n = graph.num_vertices
-    pool = graph.pool
-    t0 = time.perf_counter()
-    step, changed = 0, True
-    resumed_from = None
-    if getattr(pool, "_frontier_capable", True):
-        pool.setup_owner_ranges(n)
-        pool.reset_labels()
-        if cfg.checkpoint_dir is not None:
-            # per-owner sharded checkpoints (same discipline as sharded
-            # PageRank); a resume loads the label chunks and the first
-            # superstep's full-count build re-derives the resident
-            # count tables exactly
-            resumed_from = pool.resume_owners(cfg.checkpoint_dir,
-                                              "labelprop")
-            if resumed_from is not None:
-                step = resumed_from + 1
-        triple_ref, nch = None, n
-        while changed and step < max_supersteps:
-            # adaptive push/pull — see _lp_resident_loop
-            if triple_ref is None or nch * 2 > n:
-                nch, triple_ref = pool.lp_init_resident(weighted)
-            else:
-                nch, triple_ref = pool.lp_delta_step(triple_ref, weighted)
-            changed = nch > 0
-            if cfg.checkpoint_dir is not None \
-                    and step % cfg.checkpoint_every == 0:
-                pool.checkpoint_owners(cfg.checkpoint_dir, "labelprop",
-                                       step, {"changed": int(nch)})
-            step += 1
-    else:
-        pool.setup_owners_sharded(n, weighted)
-        pool.reset_labels()
-        while changed and step < max_supersteps:
-            changed = pool.lp_step(weighted) > 0
-            step += 1
-    elapsed = time.perf_counter() - t0
-    if metrics is not None:
-        metrics.update({"supersteps": step, "sec": elapsed,
-                        "mode": "sharded", "converged": not changed})
-        if resumed_from is not None:
-            metrics["resumed_from"] = resumed_from
-    return scores_dataset(graph.vdict, pool, "label",
-                          to_original_values=True)
+    return start, step, changed
 
 
 def _result(graph: Graph, labels: np.ndarray) -> pa.Table:

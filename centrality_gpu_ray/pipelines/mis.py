@@ -229,6 +229,7 @@ def _mis_sharded(graph: Graph, seed: int, cfg: EngineConfig,
     (node, in_mis, mis_round) in original ids."""
     import time as _time
 
+    from centrality_gpu_ray.pipelines.shards import assemble
     from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
 
     if priority_scheme != "splitmix":
@@ -251,7 +252,7 @@ def _mis_sharded(graph: Graph, seed: int, cfg: EngineConfig,
     mis_size = nwin
     nexc, exc_ref = pool.mis_exclude_round(win_ref, rnd)
     total = nwin + nexc
-    dec_ref = pool._assembler().remote(win_ref, exc_ref)
+    dec_ref = assemble([win_ref, exc_ref])
     while total < n:
         rnd += 1
         if rnd > cfg.max_supersteps:
@@ -262,7 +263,7 @@ def _mis_sharded(graph: Graph, seed: int, cfg: EngineConfig,
         mis_size += nwin
         nexc, exc_ref = pool.mis_exclude_round(win_ref, rnd)
         total += nwin + nexc
-        dec_ref = pool._assembler().remote(win_ref, exc_ref)
+        dec_ref = assemble([win_ref, exc_ref])
     und, _ = pool.jp_finalize()
     if und:
         raise AssertionError(

@@ -22,11 +22,11 @@ deserializer's Ray Data import), which was most of a cold job's
 1.4–2.0 s pool spawn on a 1-vCPU host; an actor now holds 4 of those
 modules.
 
-Message combine runs in deterministic shard order (shards are a fixed
-list; per-shard partials are already key-sorted) — on the vertex-range
-owners for the resident-state steps, on the driver for the dense
-``gather_sum``/``gather_bfs`` loops — so float accumulation is
-bit-reproducible across runs and resumes.
+Message combine runs on the vertex-range owners in deterministic shard
+order (shards are a fixed list; per-shard partials are already
+key-sorted), so float accumulation is bit-reproducible across runs and
+resumes. The same owner loops serve dense-distributed and sharded
+graphs; the graph only decides how ids come in and scores go out.
 
 On a multi-node cluster the pool spreads across nodes (one actor per
 core), each holding ~|E|/K edges; the broadcast state vector is one
@@ -69,12 +69,16 @@ def _numpy_blocks(ds, min_blocks: int = 1) -> list:
 _ASSEMBLE = None
 
 
-def _assemble_fn():
-    """Lazy remote fn: concat the P owner state chunks into ONE plasma
-    object per superstep. Every shard reads it zero-copy via arg
-    auto-deref (shared physical pages — one L3-resident copy per node,
-    not P private copies). On a multi-node cluster this is the one
-    object-store broadcast copy per node the design budgets for.
+def assemble(parts: list, count: bool = False, num_returns: int = 1):
+    """Concat the P owners' parts into ONE plasma object per superstep:
+    arrays end to end, equal-length tuples column by column (ids stay
+    globally sorted — owner ranges ascend). ``num_returns=k`` stores a
+    k-column result as k objects; ``count=True`` also returns its row
+    count first, the only value the driver derefs. Every shard reads
+    the object zero-copy via arg auto-deref (shared physical pages —
+    one L3-resident copy per node, not P private copies). On a
+    multi-node cluster this is the one object-store broadcast copy per
+    node the design budgets for.
 
     **Scale envelope — what breaks first at ~1e9 vertices.** The
     assembled vector is O(n) bytes per node per superstep (int32
@@ -99,60 +103,18 @@ def _assemble_fn():
         import ray
 
         @ray.remote(num_cpus=0)
-        def _assemble(*chunks: np.ndarray) -> np.ndarray:
-            return np.concatenate(chunks)
+        def _assemble(count: bool, *parts):
+            if isinstance(parts[0], tuple):
+                out = tuple(np.concatenate(col) for col in zip(*parts))
+                rows = len(out[0])
+            else:
+                out = np.concatenate(parts)
+                rows = len(out)
+            return (rows, out) if count else out
 
-        @ray.remote(num_cpus=0, num_returns=2)
-        def _assemble_wm(*wm_pairs):
-            w = np.concatenate([p[0] for p in wm_pairs])
-            mass = float(sum(p[1] for p in wm_pairs))
-            return w, mass
-
-        @ray.remote(num_cpus=0)
-        def _assemble_pair(*pairs):
-            """Concat P owners' (ids, vals) partials into ONE (ids,
-            vals) plasma object (ids stay globally sorted — owner
-            ranges ascend)."""
-            return (np.concatenate([p[0] for p in pairs]),
-                    np.concatenate([p[1] for p in pairs]))
-
-        @ray.remote(num_cpus=0)
-        def _assemble_cols(*tuples):
-            """Column-wise concat of P owners' k-column partials into
-            one plasma object of k arrays."""
-            k = len(tuples[0])
-            return tuple(np.concatenate([t[i] for t in tuples])
-                         for i in range(k))
-
-        @ray.remote(num_cpus=0, num_returns=2)
-        def _assemble_pair_count(*pairs):
-            """(count scalar, one (ids, vals) plasma pair) from P
-            owners' partials — driver derefs only the scalar."""
-            ids = np.concatenate([p[0] for p in pairs])
-            vals = np.concatenate([p[1] for p in pairs])
-            return int(ids.size), (ids, vals)
-
-        @ray.remote(num_cpus=0, num_returns=2)
-        def _assemble_ids_count(*arrays):
-            """(count scalar, one concatenated id plasma array)."""
-            ids = np.concatenate(arrays)
-            return int(ids.size), ids
-
-        @ray.remote(num_cpus=0, num_returns=2)
-        def _assemble_changed(*triples):
-            """(count scalar, one (ids, old, new) plasma triple) from P
-            owners' changed-vertex partials — the driver derefs only the
-            scalar; the triple ships straight to the next superstep's
-            shards (ids stay globally sorted — owner ranges ascend)."""
-            ids = np.concatenate([t[0] for t in triples])
-            old = np.concatenate([t[1] for t in triples])
-            new = np.concatenate([t[2] for t in triples])
-            return int(ids.size), (ids, old, new)
-
-        _ASSEMBLE = (_assemble, _assemble_wm, _assemble_pair,
-                     _assemble_cols, _assemble_changed,
-                     _assemble_pair_count, _assemble_ids_count)
-    return _ASSEMBLE
+        _ASSEMBLE = _assemble
+    return _ASSEMBLE.options(num_returns=num_returns + count).remote(
+        count, *parts)
 
 
 class ShardPool:
@@ -206,55 +168,14 @@ class ShardPool:
         ray.get([a.ready.remote() for a in self.actors])
         return self
 
-    @staticmethod
-    def _assembler():
-        return _assemble_fn()[0]
-
-    @staticmethod
-    def _assembler_wm():
-        return _assemble_fn()[1]
-
-    @staticmethod
-    def _assembler_pair():
-        return _assemble_fn()[2]
-
-    @staticmethod
-    def _assembler_cols():
-        return _assemble_fn()[3]
-
-    @staticmethod
-    def _assembler_changed():
-        return _assemble_fn()[4]
-
-    @staticmethod
-    def _assembler_pair_count():
-        return _assemble_fn()[5]
-
-    @staticmethod
-    def _assembler_ids_count():
-        return _assemble_fn()[6]
-
     # -- owner-mode orchestration (no O(n) driver work per superstep) ----
 
-    def setup_owners(self, inv_deg: np.ndarray, init_state: np.ndarray):
-        import ray
-
-        n = inv_deg.size
-        P = len(self.actors)
-        bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
-        ray.get([
-            a.owner_init.remote(int(bounds[i]), int(bounds[i + 1]),
-                                inv_deg[bounds[i]:bounds[i + 1]],
-                                init_state[bounds[i]:bounds[i + 1]], bounds)
-            for i, a in enumerate(self.actors)
-        ])
-        self.bounds = bounds
-        self.n = n
-
-    def setup_owners_sharded(self, n: int, weighted: bool = False):
-        """Owner init for the >dense_vertex_limit path: degree chunks
-        come from the shards' resident segment lengths; the driver only
-        routes refs (O(P) work, O(1) memory)."""
+    def setup_owners(self, n: int, weighted: bool = False):
+        """Owner init: bind each actor's [lo, hi) range, assemble its
+        degree (``weighted``: strength) chunk from the shards' resident
+        segment lengths, derive inv_deg there and uniform-init the
+        state to 1/n. The driver only routes refs (O(P) work, O(1)
+        memory); tiled shards fold their replicas into the partials."""
         import ray
 
         P = len(self.actors)
@@ -268,6 +189,8 @@ class ShardPool:
         ])
         self.bounds = bounds
         self.n = n
+
+    setup_owners_sharded = setup_owners
 
     def reset_labels(self):
         """Set owner state to dense-id labels (CC init)."""
@@ -283,7 +206,7 @@ class ShardPool:
 
         P = len(self.actors)
         wm_refs = [a.owner_make_w_mass.remote() for a in self.actors]
-        w_full, mass_total = self._assembler_wm().remote(*wm_refs)
+        w_full, masses = assemble(wm_refs, num_returns=2)
         outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
                 for a in self.actors]
         teleport = (1.0 - alpha) / self.n
@@ -292,7 +215,7 @@ class ShardPool:
         # the whole superstep is the delta sum — O(P) scalars.
         delta_refs = [
             self.actors[p].owner_combine_pr.remote(
-                teleport, mass_total, self.n, alpha, p, *outs)
+                teleport, masses, self.n, alpha, p, *outs)
             for p in range(P)
         ]
         return float(sum(ray.get(delta_refs)))
@@ -306,7 +229,7 @@ class ShardPool:
 
         P = len(self.actors)
         st_refs = [a.owner_get_state.remote() for a in self.actors]
-        w_full = self._assembler().remote(*st_refs)
+        w_full = assemble(st_refs)
         outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
                 for a in self.actors]
         total = float(sum(ray.get(
@@ -353,12 +276,12 @@ class ShardPool:
             if sparse_ok(count):
                 prs = [getattr(a, sparse_maker).remote(depth)
                        for a in self.actors]
-                pair = self._assembler_pair().remote(*prs)
+                pair = assemble(prs)
                 return [a.shard_frontier_scatter.remote(self.bounds, pair)
                         for a in self.actors]
             fr = [getattr(a, dense_maker).remote(depth)
                   for a in self.actors]
-            w_full = self._assembler().remote(*fr)
+            w_full = assemble(fr)
             return [a.shard_gather_sum.remote(self.bounds, False, w_full)
                     for a in self.actors]
 
@@ -407,7 +330,7 @@ class ShardPool:
         while True:
             fr = [a.owner_make_sigma_frontier.remote(depth)
                   for a in self.actors]
-            w_full = self._assembler().remote(*fr)
+            w_full = assemble(fr)
             outs = [a.shard_gather_sum.remote(self.bounds, False, w_full)
                     for a in self.actors]
             new = sum(ray.get(
@@ -419,7 +342,7 @@ class ShardPool:
         d = depth
         while d > 0.0:
             dt = [a.owner_make_delta_term.remote(d) for a in self.actors]
-            w_full = self._assembler().remote(*dt)
+            w_full = assemble(dt)
             outs = [a.shard_gather_sum.remote(self.bounds, False, w_full)
                     for a in self.actors]
             ray.get([self.actors[p].owner_combine_brandes_bwd.remote(
@@ -456,11 +379,11 @@ class ShardPool:
         dvals = np.unique(np.concatenate(
             [u for u in uniqs if u.size] or [np.zeros(1)]))
         dist_refs = [a.owner_get_wbc_dist.remote() for a in self.actors]
-        dist_full = self._assembler().remote(*dist_refs)
+        dist_full = assemble(dist_refs)
         for dval in dvals[:-1] if dvals.size else []:  # last bucket: no out-DAG edges
             x_refs = [a.owner_make_sigma_bucket.remote(float(dval))
                       for a in self.actors]
-            x_full = self._assembler().remote(*x_refs)
+            x_full = assemble(x_refs)
             outs = [a.shard_gather_wdag_sum.remote(self.bounds, dist_full,
                                                    x_full, False)
                     for a in self.actors]
@@ -471,7 +394,7 @@ class ShardPool:
                 break  # the source bucket has no parents
             x_refs = [a.owner_make_delta_bucket.remote(float(dval))
                       for a in self.actors]
-            x_full = self._assembler().remote(*x_refs)
+            x_full = assemble(x_refs)
             outs = [a.shard_gather_wdag_sum.remote(self.bounds, dist_full,
                                                    x_full, True)
                     for a in self.actors]
@@ -500,7 +423,7 @@ class ShardPool:
         while True:
             dist_refs = [a.owner_get_wbc_dist_ref.remote()
                          for a in self.actors]
-            dist_full = self._assembler().remote(*dist_refs)
+            dist_full = assemble(dist_refs)
             outs = [a.shard_gather_minplus.remote(self.bounds, dist_full)
                     for a in self.actors]
             changed = sum(ray.get(
@@ -519,12 +442,12 @@ class ShardPool:
             [u for u in uniqs if u.size] or [np.zeros(1)]))
         dist_refs = [a.owner_get_wbc_dist_ref.remote()
                      for a in self.actors]
-        dist_full = self._assembler().remote(*dist_refs)
+        dist_full = assemble(dist_refs)
         for dval in dvals[:-1] if dvals.size else []:
             # the global max bucket has no out-DAG edges in any column
             x_refs = [a.owner_make_sigma_bucket.remote(float(dval))
                       for a in self.actors]
-            x_full = self._assembler().remote(*x_refs)
+            x_full = assemble(x_refs)
             outs = [a.shard_gather_wdag_sum.remote(self.bounds, dist_full,
                                                    x_full, False)
                     for a in self.actors]
@@ -535,7 +458,7 @@ class ShardPool:
                 break  # each column's 0-bucket is its source alone
             x_refs = [a.owner_make_delta_bucket.remote(float(dval))
                       for a in self.actors]
-            x_full = self._assembler().remote(*x_refs)
+            x_full = assemble(x_refs)
             outs = [a.shard_gather_wdag_sum.remote(self.bounds, dist_full,
                                                    x_full, True)
                     for a in self.actors]
@@ -564,11 +487,11 @@ class ShardPool:
 
         P = len(self.actors)
         wm_refs = [a.owner_make_w_mass.remote() for a in self.actors]
-        w_full, mass_total = self._assembler_wm().remote(*wm_refs)
+        w_full, masses = assemble(wm_refs, num_returns=2)
         outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
                 for a in self.actors]
         delta_refs = [
-            self.actors[p].owner_combine_ppr.remote(mass_total, alpha, p,
+            self.actors[p].owner_combine_ppr.remote(masses, alpha, p,
                                                     *outs)
             for p in range(P)
         ]
@@ -583,7 +506,7 @@ class ShardPool:
 
         P = len(self.actors)
         st_refs = [a.owner_get_state.remote() for a in self.actors]
-        w_full = self._assembler().remote(*st_refs)
+        w_full = assemble(st_refs)
         outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
                 for a in self.actors]
         ray.get([self.actors[p].owner_combine_accum.remote(p, *outs)
@@ -601,7 +524,7 @@ class ShardPool:
 
         P = len(self.actors)
         lab_refs = [a.owner_get_state.remote() for a in self.actors]
-        lab_full = self._assembler().remote(*lab_refs)
+        lab_full = assemble(lab_refs)
         outs = [(a.shard_gather_min_alt if alt
                  else a.shard_gather_min).remote(self.bounds, lab_full)
                 for a in self.actors]
@@ -629,7 +552,7 @@ class ShardPool:
         P = len(self.actors)
         bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
         deg_outs = [a.degree_partials.remote(bounds) for a in self.actors]
-        deg_full = self._assembler().remote(*[
+        deg_full = assemble([
             a.owner_tri_degree.remote(int(bounds[p]), int(bounds[p + 1]), p,
                                       *deg_outs)
             for p, a in enumerate(self.actors)])
@@ -662,33 +585,26 @@ class ShardPool:
         the owners' resident (v, label)→count tables and runs the first
         decide. Returns (#changed, changed-triple ref); the driver
         derefs only the scalar."""
-        import ray
-
         P = len(self.actors)
         lab_refs = [a.owner_get_state.remote() for a in self.actors]
-        lab_full = self._assembler().remote(*lab_refs)
+        lab_full = assemble(lab_refs)
         outs = [a.shard_gather_label_counts.remote(self.bounds, lab_full,
                                                    weighted)
                 for a in self.actors]
-        ch_refs = [self.actors[p].owner_lp_init_resident.remote(p, *outs)
-                   for p in range(P)]
-        cnt_ref, triple_ref = self._assembler_changed().remote(*ch_refs)
-        return int(ray.get(cnt_ref)), triple_ref
+        return self._counted(
+            [self.actors[p].owner_lp_init_resident.remote(p, *outs)
+             for p in range(P)])
 
     def lp_delta_step(self, triple_ref, weighted: bool = True):
         """One change-driven LP superstep: shards emit ±w count deltas
         from the changed vertices' adjacency segments
         (O(Σdeg(changed)), not O(m)); owners fold and re-decide only
         touched vertices. Returns (#changed, next changed-triple ref)."""
-        import ray
-
         P = len(self.actors)
         outs = [a.shard_lp_delta.remote(self.bounds, triple_ref, weighted)
                 for a in self.actors]
-        ch_refs = [self.actors[p].owner_lp_apply.remote(p, *outs)
-                   for p in range(P)]
-        cnt_ref, next_ref = self._assembler_changed().remote(*ch_refs)
-        return int(ray.get(cnt_ref)), next_ref
+        return self._counted([self.actors[p].owner_lp_apply.remote(p, *outs)
+                              for p in range(P)])
 
     def lp_step(self, weighted: bool = True) -> int:
         """One mode-LP superstep over owner-resident labels; returns
@@ -697,7 +613,7 @@ class ShardPool:
 
         P = len(self.actors)
         lab_refs = [a.owner_get_state.remote() for a in self.actors]
-        lab_full = self._assembler().remote(*lab_refs)
+        lab_full = assemble(lab_refs)
         outs = [a.shard_gather_label_counts.remote(self.bounds, lab_full,
                                                    weighted)
                 for a in self.actors]
@@ -720,7 +636,7 @@ class ShardPool:
         P = len(self.actors)
         pri_refs = [a.owner_jp_pri_chunk.remote(seed, dict_meta)
                     for a in self.actors]
-        pri_full = self._assembler().remote(*pri_refs)
+        pri_full = assemble(pri_refs)
         ray.get([a.shard_jp_load_pri.remote(pri_full)
                  for a in self.actors])
         cnt_outs = [a.shard_jp_cnt_init.remote(self.bounds)
@@ -732,7 +648,7 @@ class ShardPool:
         """Round 1: color the zero-counter vertices; returns
         (#colored, (ids, colors) pair ref)."""
         refs = [a.owner_jp_color_first.remote() for a in self.actors]
-        return self._pair_count(refs)
+        return self._counted(refs)
 
     def jp_color_round(self, pair_ref, rnd: int):
         """One change-driven coloring round; returns
@@ -742,24 +658,21 @@ class ShardPool:
                 for a in self.actors]
         refs = [self.actors[p].owner_jp_color_apply.remote(p, rnd, *outs)
                 for p in range(P)]
-        return self._pair_count(refs)
+        return self._counted(refs)
 
-    def _pair_count(self, refs):
+    @staticmethod
+    def _counted(refs):
+        """(row count, ref of the assembled parts) — the driver derefs
+        only the count; the parts ship straight to the next round."""
         import ray
 
-        cnt_ref, pair_ref = self._assembler_pair_count().remote(*refs)
-        return int(ray.get(cnt_ref)), pair_ref
-
-    def _ids_count(self, refs):
-        import ray
-
-        cnt_ref, ids_ref = self._assembler_ids_count().remote(*refs)
-        return int(ray.get(cnt_ref)), ids_ref
+        cnt_ref, ref = assemble(refs, count=True)
+        return int(ray.get(cnt_ref)), ref
 
     def mis_first(self):
         """Round 1 winners; returns (#winners, winner ids ref)."""
         refs = [a.owner_mis_first.remote() for a in self.actors]
-        return self._ids_count(refs)
+        return self._counted(refs)
 
     def mis_win_round(self, dec_ids_ref, rnd: int):
         """Apply decrements from last round's decided set; returns
@@ -769,7 +682,7 @@ class ShardPool:
                 for a in self.actors]
         refs = [self.actors[p].owner_mis_apply.remote(p, rnd, *outs)
                 for p in range(P)]
-        return self._ids_count(refs)
+        return self._counted(refs)
 
     def mis_exclude_round(self, win_ids_ref, rnd: int):
         """Mark undecided neighbors of this round's winners excluded;
@@ -779,7 +692,7 @@ class ShardPool:
                 for a in self.actors]
         refs = [self.actors[p].owner_mis_exclude.remote(p, rnd, *outs)
                 for p in range(P)]
-        return self._ids_count(refs)
+        return self._counted(refs)
 
     def jp_finalize(self) -> tuple[int, int]:
         """Commit color/status + round into the generic owner vectors;
@@ -808,12 +721,12 @@ class ShardPool:
                 and frontier_size * 8 < self.n):
             fr_refs = [a.owner_make_frontier_ids.remote(float(depth))
                        for a in self.actors]
-            fr_full = self._assembler().remote(*fr_refs)
+            fr_full = assemble(fr_refs)
             outs = [a.shard_bfs_topdown.remote(self.bounds, fr_full)
                     for a in self.actors]
         else:
             lvl_refs = [a.owner_get_state.remote() for a in self.actors]
-            lvl_full = self._assembler().remote(*lvl_refs)
+            lvl_full = assemble(lvl_refs)
             outs = [a.shard_bfs_step.remote(self.bounds, lvl_full,
                                             float(depth))
                     for a in self.actors]
@@ -828,7 +741,7 @@ class ShardPool:
 
         P = len(self.actors)
         dist_refs = [a.owner_get_state.remote() for a in self.actors]
-        dist_full = self._assembler().remote(*dist_refs)
+        dist_full = assemble(dist_refs)
         outs = [a.shard_gather_minplus.remote(self.bounds, dist_full)
                 for a in self.actors]
         changed_refs = [
@@ -927,33 +840,3 @@ class ShardPool:
 
         ray.get([a.owner_set_state.remote(state[self.bounds[i]:self.bounds[i + 1]])
                  for i, a in enumerate(self.actors)])
-
-    def gather_sum(self, wvec_ref, num_vertices: int, weighted: bool = False) -> np.ndarray:
-        """Deterministic combined PageRank gather across shards."""
-        import ray
-
-        method = "pr_contrib_weighted" if weighted else "pr_contrib"
-        parts = ray.get([getattr(a, method).remote(wvec_ref) for a in self.actors])
-        out = np.zeros(num_vertices, dtype=np.float64)
-        for uniq_v, sums in parts:  # fixed shard order → deterministic
-            np.add.at(out, uniq_v, sums)
-        return out
-
-    def gather_label_counts(self, labels_ref, weighted: bool = True):
-        import ray
-
-        parts = ray.get([a.label_counts.remote(labels_ref, weighted)
-                         for a in self.actors])
-        v = np.concatenate([p[0] for p in parts])
-        lab = np.concatenate([p[1] for p in parts])
-        cnt = np.concatenate([p[2] for p in parts])
-        return v, lab, cnt
-
-    def gather_bfs(self, frontier_ref, visited_ref):
-        import ray
-
-        parts = ray.get([a.bfs_step.remote(frontier_ref, visited_ref)
-                         for a in self.actors])
-        v = np.concatenate([p[0] for p in parts])
-        u = np.concatenate([p[1] for p in parts])
-        return v, u

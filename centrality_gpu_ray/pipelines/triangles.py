@@ -57,23 +57,14 @@ def _count(graph: Graph, metrics: dict | None, clustering: bool):
         pairs = deg * (deg - 1.0) / 2.0
         c = np.divide(tri, pairs, out=np.zeros(n), where=pairs > 0)
         tri_sum, pair_sum, c_sum = tri.sum(), pairs.sum(), c.sum()
+        out = graph.scores_table(tri, "triangles")
+        if clustering:
+            out = out.append_column("clustering", pa.array(c))
     else:
         pool = graph.pool
         wedges, matched, tri_sum, pair_sum, c_sum = pool.triangle_pass(n)
-        if not graph.sharded:
-            tri = pool.collect_state()
-            c = pool.collect_state(aux=True) if clustering else None
-    if graph.sharded:
-        from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
-
-        out = scores_dataset(graph.vdict, pool, "triangles",
-                             aux_col="clustering" if clustering else None)
-    else:
-        cols = {"node": pa.array(graph.node_ids, type=pa.int64()),
-                "triangles": pa.array(tri)}
-        if clustering:
-            cols["clustering"] = pa.array(c)
-        out = pa.table(cols)
+        out = graph.owner_scores(
+            pool, "triangles", aux_col="clustering" if clustering else None)
     if metrics is not None:
         metrics.update({
             "sec": time.perf_counter() - t0,

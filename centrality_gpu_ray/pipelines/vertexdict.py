@@ -139,7 +139,7 @@ def scores_dataset(vdict: VertexDict, pool, col: str,
                    to_original_values: bool = False,
                    aux_col: str | None = None,
                    aux_to_original: bool = False,
-                   value_cast: str | None = None,
+                   value_cast=None,
                    aux_cast: str | None = None):
     """Per-owner state chunks → Dataset of (node, col[, aux_col]) rows
     without the driver ever holding n rows. ``to_original_values=True``
@@ -149,7 +149,8 @@ def scores_dataset(vdict: VertexDict, pool, col: str,
     aux values to original ids (negatives pass through).
     ``value_cast``/``aux_cast``: numpy dtype names applied to the
     emitted vectors (owner state is float64; integral/bool results —
-    colors, MIS membership — cast back so cross-mode schemas match)."""
+    colors, MIS membership — cast back so cross-mode schemas match);
+    ``value_cast`` may also be a function of the value vector."""
     import ray
     import ray.data
 
@@ -162,7 +163,9 @@ def scores_dataset(vdict: VertexDict, pool, col: str,
         vals = state
         if to_original_values:
             vals = reader.to_original(state.astype(np.int64))
-        if value_cast is not None:
+        if callable(value_cast):
+            vals = value_cast(vals)
+        elif value_cast is not None:
             vals = vals.astype(value_cast)
         cols = {"node": pa.array(reader.to_original(dense)),
                 col: pa.array(vals)}

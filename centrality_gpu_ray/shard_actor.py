@@ -331,20 +331,11 @@ class EdgeShard:
     # driver inside the superstep loop (the scaling-efficiency
     # killer: a serial O(n) driver section caps speedup by Amdahl).
 
-    def owner_init(self, lo: int, hi: int, inv_deg_chunk: np.ndarray,
-                   init_chunk: np.ndarray, bounds: np.ndarray):
-        self.lo, self.hi = lo, hi
-        self.inv_deg = inv_deg_chunk
-        self.state = init_chunk.copy()
-        self.dangling_local = np.flatnonzero(inv_deg_chunk == 0.0)
-        return True
-
     def degree_partials(self, bounds: np.ndarray, weighted: bool = False):
         """Range-split per-vertex degree (or strength) partials from
         this shard's resident layout — segment lengths of the
         v-sorted message array, no state vector needed. Feeds the
-        sharded-state owner init (degrees never materialize on the
-        driver)."""
+        owner init (degrees never materialize on the driver)."""
         if self.u.size == 0:
             z = np.empty(0, dtype=np.int64)
             return tuple((z, z.astype(np.float64))
@@ -364,10 +355,9 @@ class EdgeShard:
     def owner_init_from_parts(self, lo: int, hi: int,
                               bounds: np.ndarray, n: int, my_idx: int,
                               *deg_outs):
-        """Sharded-state owner init: assemble this range's degree
-        chunk from the shards' partials, derive inv_deg locally,
-        uniform-init the state. The driver never holds an O(n)
-        vector."""
+        """Owner init: assemble this range's degree chunk from the
+        shards' partials, derive inv_deg locally, uniform-init the
+        state. The driver never holds an O(n) vector."""
         self.lo, self.hi = lo, hi
         deg = np.zeros(hi - lo, dtype=np.float64)
         for out in deg_outs:
@@ -1167,18 +1157,20 @@ class EdgeShard:
         return self.state
 
     def owner_make_w_mass(self):
-        """(contribution chunk, dangling mass) in one call/object."""
+        """(contribution chunk, [dangling mass]) in one call/object."""
         return (self.state * self.inv_deg,
-                float(self.state[self.dangling_local].sum()))
+                np.array([self.state[self.dangling_local].sum()]))
 
-    def owner_combine_pr(self, teleport: float, dangling_mass: float,
+    def owner_combine_pr(self, teleport: float, masses: np.ndarray,
                          n: int, alpha: float, my_idx: int,
                          *shard_outs) -> float:
         """`shard_outs` are the P shards' full range-split output
         tuples (zero-copy plasma views); this owner consumes slot
         ``my_idx`` of each. One object per shard instead of P
-        (P² tiny objects per superstep was a measured fixed cost)."""
-        dangling_term = dangling_mass / n
+        (P² tiny objects per superstep was a measured fixed cost).
+        ``masses`` are the owners' dangling masses, summed here in
+        owner order."""
+        dangling_term = sum(masses.tolist()) / n
         new = np.zeros(self.hi - self.lo, dtype=np.float64)
         # each part's uniq_v is unique+sorted within the part, so
         # fancy-index += is exact (and ~10x faster than np.add.at's
@@ -1629,10 +1621,11 @@ class EdgeShard:
         self.state = tele.copy()
         return True
 
-    def owner_combine_ppr(self, dangling_mass: float, alpha: float,
+    def owner_combine_ppr(self, masses: np.ndarray, alpha: float,
                           my_idx: int, *shard_outs) -> float:
         """PPR combine: teleport/dangling mass follow the resident
         teleport chunk instead of the uniform 1/n scalar."""
+        dangling_mass = sum(masses.tolist())
         new = np.zeros(self.hi - self.lo, dtype=np.float64)
         for out in shard_outs:
             uniq_v, sums = out[my_idx]
@@ -1809,45 +1802,6 @@ class EdgeShard:
     def shard_gather_min(self, bounds: np.ndarray, lab: np.ndarray):
         return _range_split_min(self.u, self.seg, self.uniq_v,
                                 self.rep_fold, bounds, lab)
-
-    def pr_contrib(self, wvec: np.ndarray):
-        """Partial PageRank gather: sums of wvec[u] per dst (sorted
-        segments → reduceat, deterministic)."""
-        c = wvec[self.u]
-        sums = np.add.reduceat(c, self.seg) if c.size else c
-        if self.rep_fold > 1:
-            sums = sums.reshape(self.rep_fold, -1).sum(axis=0)
-        return self.uniq_v, sums
-
-    def pr_contrib_weighted(self, wvec: np.ndarray):
-        c = wvec[self.u] * self.w
-        sums = np.add.reduceat(c, self.seg) if c.size else c
-        if self.rep_fold > 1:
-            sums = sums.reshape(self.rep_fold, -1).sum(axis=0)
-        return self.uniq_v, sums
-
-    def label_counts(self, labels: np.ndarray, weighted: bool):
-        """Partial (v, label, count) for mode-LP."""
-        lab = labels[self.u]
-        pairs = self.v.astype(np.int64) * np.int64(labels.size) + lab
-        uniq, inv = np.unique(pairs, return_inverse=True)
-        wts = self.w if weighted else np.ones(lab.size)
-        cnt = np.bincount(inv, weights=wts).astype(np.int64)
-        return (uniq // labels.size, uniq % labels.size, cnt)
-
-    def bfs_step(self, in_frontier: np.ndarray, visited: np.ndarray):
-        """Partial (v, min parent) for unvisited neighbors of the
-        frontier."""
-        mask = in_frontier[self.u] & ~visited[self.v]
-        if not mask.any():
-            z = np.empty(0, dtype=np.int64)
-            return z, z
-        v, u = self.v[mask], self.u[mask]
-        order = np.lexsort((u, v))
-        v, u = v[order], u[order]
-        first = np.ones(v.size, dtype=bool)
-        first[1:] = v[1:] != v[:-1]
-        return v[first], u[first]
 
 
 _REMOTE = None

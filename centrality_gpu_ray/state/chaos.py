@@ -1,8 +1,8 @@
 """Kill/resume chaos harness — SURVEY §5's "kill mid-superstep,
 resume, bit-identical" commitment, exercised for real.
 
-`run_chaos_pagerank` runs distributed PageRank three ways over the
-same graph-builder callable:
+`run_chaos_pagerank` runs distributed PageRank (dense or sharded graph)
+three ways over the same graph-builder callable:
 
 1. an UNINTERRUPTED reference run (no checkpoints),
 2. a CHAOS run with per-superstep checkpoints whose shard/owner actor
@@ -65,9 +65,9 @@ def run_chaos_pagerank(make_graph, cfg_factory,
     pids = ray.get([a.pid.remote() for a in g_chaos.pool.actors])
     killed: list[int] = []
     # dense CheckpointManager lays out <ck>/step_<k>/manifest.json;
-    # sharded checkpoint_owners lays out <ck>/pagerank/step-<k>/ —
-    # watch both
-    watch_dirs = (ck, os.path.join(ck, "pagerank"))
+    # sharded PageRank's checkpoint_owners lays out
+    # <ck>/pagerank_sharded/step-<k>/ — watch both
+    watch_dirs = (ck, os.path.join(ck, "pagerank_sharded"))
 
     def steps_done() -> int:
         total = 0

@@ -14,7 +14,10 @@ task/driver retry, SURVEY.md §7.5.4)::
         manifest.json        # superstep id, per-partition lineage, metrics
 
 Resume = find the highest ``step_k`` with a ``manifest.json`` and
-continue from it (:func:`latest_checkpoint`).
+continue from it (:func:`latest_checkpoint`). Sharded graphs keep their
+state in the pool's owners and checkpoint it per owner instead
+(``ShardPool.checkpoint_owners``: ``<dir>/<algo>/step-<k>/``);
+:class:`LoopCheckpoint` puts both layouts behind one resume/save pair.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import shutil
 import time
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -116,3 +120,62 @@ class CheckpointManager:
                 f"checkpoint dir {self.root} holds {found[1]['algorithm']} state, "
                 f"not {self.algorithm}")
         return found
+
+
+class LoopCheckpoint:
+    """Resume/save of one superstep loop's per-vertex state, for the
+    local loops and the pool loops alike. Dense graphs keep
+    :class:`CheckpointManager`'s ``(node, col)`` tables; a resume maps
+    them back through ``Graph.dense_index`` and starts over when they
+    belong to another graph. Sharded graphs keep per-owner chunks under
+    ``<checkpoint_dir>/<sharded_algo>/``. ``ids=True``: the values are
+    dense vertex ids (labels), stored as original ids."""
+
+    def __init__(self, graph, cfg, algo: str, col: str,
+                 sharded_algo: str | None = None, ids: bool = False):
+        self.graph, self.cfg, self.col, self.ids = graph, cfg, col, ids
+        self.algo = sharded_algo or algo
+        self.manager = CheckpointManager(cfg.checkpoint_dir, algo,
+                                         cfg.checkpoint_every,
+                                         cfg.num_partitions)
+
+    def resume(self, pool=None) -> tuple[int, np.ndarray | None]:
+        """(first superstep to run, restored dense vector or None). With
+        a ``pool``, the restored state is loaded into its owners."""
+        g, root = self.graph, self.cfg.checkpoint_dir
+        if root is None:
+            return 0, None
+        if g.sharded:
+            step = pool.resume_owners(root, self.algo)
+            return (0, None) if step is None else (step + 1, None)
+        found = self.manager.resume()
+        if found is None:
+            return 0, None
+        step, _, table = found
+        idx = g.dense_index(table.column("node").to_numpy())
+        vals = table.column(self.col).to_numpy()
+        if self.ids:
+            vals = g.dense_index(vals)
+        if idx is None or vals is None or idx.size != g.num_vertices:
+            return 0, None  # another graph's state: full budget again
+        vec = np.empty(g.num_vertices, dtype=vals.dtype)
+        vec[idx] = vals
+        if pool is not None:
+            pool.set_state(vec.astype(np.float64))
+        return step + 1, vec
+
+    def save(self, step: int, state, **meta) -> None:
+        """Checkpoint superstep ``step`` when it is due; ``state`` is the
+        pool, or a local loop's dense vector."""
+        root = self.cfg.checkpoint_dir
+        if root is None or step % self.manager.every:
+            return
+        if self.graph.sharded:
+            state.checkpoint_owners(root, self.algo, step, meta)
+            return
+        if not isinstance(state, np.ndarray):
+            state = state.collect_state()
+        if self.ids:
+            state = self.graph.node_ids[state.astype(np.int64)]
+        self.manager.maybe_write(
+            step, self.graph.scores_table(state, self.col), **meta)

@@ -74,11 +74,13 @@ def main() -> dict:
     # w_out inits to zeros → iteration-0 scores are all sigmoid(0)
     assert abs(fit["loss"][0] - (1 + NEG) * np.log(2.0)) < 1e-9
 
+    from centrality_gpu_ray.pipelines.shards import assemble
+
     pool = fit["pool"]
-    w_in_full = pool._assembler().remote(
-        *[a.owner_sgns_chunk.remote(0) for a in pool.actors])
-    w_out_full = pool._assembler().remote(
-        *[a.owner_sgns_chunk.remote(1) for a in pool.actors])
+    w_in_full = assemble(
+        [a.owner_sgns_chunk.remote(0) for a in pool.actors])
+    w_out_full = assemble(
+        [a.owner_sgns_chunk.remote(1) for a in pool.actors])
 
     @ray.remote
     def score_probe(lo: int, hi: int, w_in, w_out):

@@ -53,11 +53,14 @@ def test_owner_combine_hub_skew(k):
     """Skew is handled by the owner combine itself: each shard folds a
     hub's messages to one partial before the hub's range owner combines
     them, so a hub-skewed weighted graph on k owners gives the local
-    results — PageRank (plain and weighted) to 1e-12, CC labels, SSSP
-    distances and BFS parents exactly."""
+    results — PageRank (plain, weighted and personalized), eigenvector
+    and Katz to 1e-12; CC labels, LP labels, SSSP distances and BFS
+    levels, parents and discovery times exactly."""
     import ray.data
 
     from centrality_gpu_ray.pipelines.bfs import bfs
+    from centrality_gpu_ray.pipelines.eigenvector import (
+        eigenvector_centrality, katz_centrality)
     from centrality_gpu_ray.pipelines.shards import ShardPool
     from centrality_gpu_ray.pipelines.sssp import sssp
 
@@ -67,16 +70,28 @@ def test_owner_combine_hub_skew(k):
     g._pool = ShardPool(g.edges, num_shards=k)
     assert len(g.pool.actors) == k
     cfg = EngineConfig(tolerance=1e-12, max_supersteps=500)
+    fixed = EngineConfig(tolerance=0.0, max_supersteps=30)
+    pers = {int(g_loc.node_ids[0]): 2.0, int(g_loc.node_ids[-1]): 1.0}
     try:
-        for weighted in (False, True):
-            want, got = (pagerank(h, cfg, weighted=weighted)
-                         .column("pagerank").to_numpy() for h in (g_loc, g))
-            assert np.allclose(want, got, atol=1e-12), weighted
-        for run, col in [(connected_components, "component"),
-                         (lambda h: sssp(h, 1), "distance"),
-                         (lambda h: bfs(h, 1), "parent")]:
+        for run, col in [
+                (lambda h: pagerank(h, cfg), "pagerank"),
+                (lambda h: pagerank(h, cfg, weighted=True), "pagerank"),
+                (lambda h: pagerank(h, cfg, personalization=pers),
+                 "pagerank"),
+                (lambda h: eigenvector_centrality(h, fixed, weighted=True),
+                 "eigenvector"),
+                (lambda h: katz_centrality(h, 0.01, config=fixed), "katz")]:
             want, got = (run(h).column(col).to_numpy() for h in (g_loc, g))
-            assert np.array_equal(want, got), col
+            assert np.allclose(want, got, atol=1e-12), col
+        for run, cols in [(connected_components, ["component"]),
+                          (label_propagation, ["label"]),
+                          (lambda h: sssp(h, 1), ["distance"]),
+                          (lambda h: bfs(h, 1),
+                           ["level", "parent", "disc_time"])]:
+            want, got = run(g_loc), run(g)
+            for col in cols:
+                assert np.array_equal(want.column(col).to_numpy(),
+                                      got.column(col).to_numpy()), col
     finally:
         g.pool.shutdown()
 

@@ -31,8 +31,9 @@ def test_bfs_levels(mode):
     assert p[3] == 8
 
 
-def test_bfs_unreachable_on_test5():
-    g = Graph(fixture_dataset("test5"))
+@pytest.mark.parametrize("mode", ["local", "distributed"])
+def test_bfs_unreachable_on_test5(mode):
+    g = Graph(fixture_dataset("test5"), mode=mode)
     t = bfs(g, 0).to_pandas()
     lv = dict(zip(t["node"], t["level"]))
     assert all(lv[v] >= 0 for v in range(9))
@@ -42,6 +43,33 @@ def test_bfs_unreachable_on_test5():
     assert all(dt[v] == -1 for v in range(9, 15))
     reached = t[t.level >= 0].sort_values(["level", "node"])
     assert reached["disc_time"].tolist() == list(range(len(reached)))
+
+
+@pytest.mark.parametrize("kind", ["local", "distributed", "sharded"])
+def test_bfs_path_graph_runs_past_superstep_cap(kind):
+    # a 150-vertex path searched from one end has 149 levels, more than
+    # the default max_supersteps (100): BFS must run until a level adds
+    # no vertex, on every graph kind
+    import pyarrow as pa
+    import ray.data
+
+    from centrality_gpu_ray.config import EngineConfig
+
+    ids = np.arange(150, dtype=np.int64) * 7 + 3
+    edges = pa.table({"src": pa.array(ids[:-1]), "dst": pa.array(ids[1:]),
+                      "weight": pa.array(np.ones(149, dtype=np.int64))})
+    cfg = EngineConfig(dense_vertex_limit=50 if kind == "sharded"
+                       else 5_000_000)
+    g = Graph(ray.data.from_arrow(edges), config=cfg,
+              mode="local" if kind == "local" else "distributed")
+    assert g.sharded == (kind == "sharded")
+    m = {}
+    t = bfs(g, 3, metrics=m).to_pandas().sort_values("node")
+    assert t["level"].tolist() == list(range(150))
+    assert t["parent"].tolist() == [-1] + ids[:-1].tolist()
+    assert m["depth"] == 149 and m["reached"] == 150
+    if kind != "sharded":
+        assert t["disc_time"].tolist() == list(range(150))
 
 
 def test_pendant_prune_chain():

@@ -14,12 +14,19 @@ SF_DIR = "/root/testdata/sf0.01"
 
 @pytest.mark.skipif(not os.path.isdir(SF_DIR),
                     reason="driver testdata not present")
-def test_kill_mid_pagerank_resume_bit_identical(ray_session):
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["dense", "sharded"])
+def test_kill_mid_pagerank_resume_bit_identical(ray_session, sharded):
     from centrality_gpu_ray import graph_queries as gq
 
+    # sharded: the vertex limit sits below the graph's vertex count, so
+    # checkpoints are per-owner chunks under <ck>/pagerank_sharded/
+    cfg = EngineConfig(dense_vertex_limit=1000) if sharded else EngineConfig()
+
     def make_graph():
-        return gq.lineitem_graph(SF_DIR, mode="distributed",
-                                 config=EngineConfig())
+        g = gq.lineitem_graph(SF_DIR, mode="distributed", config=cfg)
+        assert g.sharded == sharded
+        return g
 
     def cfg_factory(ck):
         return EngineConfig(tolerance=0.0, max_supersteps=40,

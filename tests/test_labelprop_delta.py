@@ -5,8 +5,9 @@ legacy full-recompute paths: the resident (v, label)→count table is an
 exact integer invariant of the current labels, and the decide is the
 same `_pick_labels`, so labels, superstep counts and the converged flag
 all compare exactly. Forcing ``pool._frontier_capable = False`` routes
-`label_propagation` through the legacy loop (dense: per-superstep
-driver gather; sharded: `lp_step` full-count combine)."""
+`label_propagation` through the legacy full-recompute superstep,
+`ShardPool.lp_step` (full-count owner combine), on dense and sharded
+graphs alike."""
 
 import numpy as np
 import pyarrow as pa

@@ -84,6 +84,19 @@ def test_sharded_checkpoint_resume(graphs, tmp_path):
     merged = resumed.merge(fresh, on="node", suffixes=("_r", "_f"))
     assert (merged["pagerank_r"] == merged["pagerank_f"]).all()
 
+    # CC runs the same resume/save pair: 2 checkpointed supersteps (not
+    # converged), then a resumed run equals an uninterrupted one
+    connected_components(sharded, EngineConfig(
+        max_supersteps=2, checkpoint_dir=ck, strict_convergence=False))
+    m = {}
+    resumed = connected_components(
+        sharded, EngineConfig(checkpoint_dir=ck), metrics=m).to_pandas()
+    assert m["resumed_from"] == 1
+    fresh = connected_components(sharded).to_pandas()
+    merged = resumed.merge(fresh, on="node", suffixes=("_r", "_f"))
+    assert len(merged) == sharded.num_vertices
+    assert (merged["component_r"] == merged["component_f"]).all()
+
 
 def test_sharded_labelprop_matches_dense(graphs):
     dense, sharded = graphs
