@@ -20,8 +20,10 @@ class EngineConfig:
         tolerance: L1 convergence threshold for iterative algorithms.
         max_supersteps: hard cap on superstep count.
         batch_size: rows per ``map_batches`` batch in Dataset-side edge
-            passes (graph build, MIS, link prediction, ...).
-        num_partitions: target partition count for shuffles / edge layout.
+            passes (MIS, link prediction, ...).
+        num_partitions: target partition count for the shuffles of
+            Dataset-side pipelines (the graph build sizes its own from
+            the cluster, ``stages/shuffle.py::cluster_width``).
         dense_vertex_limit: graphs with at most this many vertices keep
             their sorted original ids on the driver (ids resolve by a
             driver-side search, scores come back as one ``pa.Table``).

@@ -83,8 +83,8 @@ def pack_sequences(ds, context_len: int = 2048):
                             ("n_chunks", pa.int64())])
         return ray.data.from_arrow(schema.empty_table())
 
-    # Same internal-API invariant VertexDict.build relies on (and
-    # loudly asserts): sort("doc_id") blocks arrive in global order.
+    # Internal-API invariant, asserted loudly: sort("doc_id") blocks
+    # arrive in global order.
     firsts = np.array([m[1] for _, m in keep], dtype=np.int64)
     if not np.all(np.diff(firsts) > 0):
         raise AssertionError(

@@ -2,11 +2,26 @@
 
 The reference copies its CSR arrays (R, C, F) to the GPU once and runs
 every source's BFS against that resident copy (``kernels_free.cu:44-74``).
-The Ray-Data analogue: normalize the edge table once (self-loop filter →
-canonical dedup → symmetrize), **materialize** it as zero-copy Arrow
-blocks in the object store, and run every superstep as a
-``map_batches`` over those pinned blocks — the big, static thing never
-moves again; only the small per-vertex state does.
+The analogue here: normalize the edge table once, relabel it to dense
+ids, and deal it once to resident shard actors that run every
+superstep — the big, static thing never moves again; only the small
+per-vertex state does.
+
+The build from raw edges is one Ray Data execution plus raw tasks:
+
+1. ``dedup_edges``: one map pass (self-loop filter, ``src < dst``,
+   weights) and one hash shuffle as wide as the cluster
+   (``stages/shuffle.py::cluster_width``). Its blocks are already
+   canonical, so they are kept as they are (``canonical_edges()``).
+2. One task per deduped block: its distinct vertex ids and evenly
+   spaced samples of its ids and (src, dst) keys. Dense graphs merge
+   the ids on the driver; sharded graphs range-exchange them into the
+   vertex dictionary (``pipelines/vertexdict.py``).
+3. One range exchange (``_range_layout``): remap to dense ids and cut
+   into (s, d) ranges at cut points picked from the samples, one block
+   per range and one range per shard actor, with no repartition. Step
+   1's blocks are a pure function of the edge set, and so is the
+   layout: shard float sums stay bit-identical across runs.
 
 Two execution modes (chosen by ``mode`` or edge count):
 
@@ -38,6 +53,8 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig, DEFAULT_CONFIG
 from centrality_gpu_ray.stages.edges import dedup_edges
+from centrality_gpu_ray.stages.shuffle import (
+    _nonempty_block_refs, cluster_width, cut_positions, even_sample)
 
 LOCAL_EDGE_CUTOFF = 2_000_000  # deduped undirected edges
 
@@ -49,35 +66,50 @@ class Graph:
     in sorted order (deterministic, partition-count independent —
     replaces the first-seen-order relabel of ``modified_apsp.cpp:273-363``
     which is not). ``node_ids[i]`` maps back.
+
+    ``edges_ds`` holds raw ``(src, dst[, weight])`` rows: duplicates are
+    summed, self-loops dropped. ``normalized=True`` declares it a clean
+    symmetric table (``normalize_edges``/``derive_corpus_edges``
+    output) and keeps its ``src < dst`` half. Symmetric input passed
+    without it pays a second dedup shuffle over 2m rows, and the two
+    directions of each edge fold into one row with the weight counted
+    twice.
     """
 
     def __init__(self, edges_ds, config: EngineConfig | None = None,
                  normalized: bool = False, mode: str = "auto"):
-        self.config = config or DEFAULT_CONFIG
-        if not normalized:
-            # dedup_edges canonicalizes (src < dst), drops self-loops and
-            # sums duplicate weights — one shuffle keyed on the edge.
-            edges_ds = dedup_edges(edges_ds)
-        # One canonical row per undirected edge (src < dst); symmetric
-        # views are derived per-batch so we store/shuffle m rows, not 2m.
-        canon = edges_ds.map_batches(_to_canonical, batch_format="pyarrow")
-        self._canon_ds = canon.materialize()
+        import ray
 
-        # distinct vertex ids: per-block partial unique (one map pass, no
-        # shuffle). The SUM of per-block uniques upper-bounds the true
-        # distinct count, so it decides dense-vs-sharded without pulling
-        # anything to the driver.
-        uniq_ds = self._canon_ds.map_batches(
-            _unique_vertices, batch_format="pyarrow").materialize()
-        upper_bound = uniq_ds.count()
+        self.config = config or DEFAULT_CONFIG
+        if normalized:
+            # clean symmetric input: keep one row per undirected edge
+            edges_ds = edges_ds.map_batches(_to_canonical,
+                                            batch_format="pyarrow")
+        else:
+            # one shuffle keyed on the edge; its output is already one
+            # canonical weighted row per undirected edge (src < dst)
+            edges_ds = dedup_edges(edges_ds)
+        self._canon_ds = edges_ds.materialize()
+        blocks = _nonempty_block_refs(self._canon_ds)
+        width = cluster_width()
+
+        # per block, one task: its distinct vertex ids, plus samples of
+        # them and of its (src, dst) keys for the range exchanges below.
+        # The SUM of per-block uniques upper-bounds the true distinct
+        # count, so it decides dense-vs-sharded without pulling ids.
+        # 64 samples per range from every block keep the ranges (shard
+        # slices) within about 1/64 of even; at 8 the corpus graph's two
+        # shards held 53% and 47% of its edges.
+        block_ids = ray.remote(num_returns=2)(_block_ids)
+        outs = [block_ids.remote(b, 64 * width) for b in blocks]
+        id_refs = [ids for ids, _ in outs]
+        metas = ray.get([meta for _, meta in outs])
+        upper_bound = sum(m[0] for m in metas)
         self.sharded = upper_bound > self.config.dense_vertex_limit
         if not self.sharded:
             # dense path: merge per-block uniques on the driver
-            id_parts = [b.column("v").to_numpy()
-                        for b in uniq_ds.iter_batches(batch_size=None,
-                                                      batch_format="pyarrow")]
-            self.node_ids = (np.unique(np.concatenate(id_parts)) if id_parts
-                             else np.empty(0, dtype=np.int64))
+            self.node_ids = (np.unique(np.concatenate(ray.get(id_refs)))
+                             if id_refs else np.empty(0, dtype=np.int64))
             self.num_vertices = int(self.node_ids.size)
             remap = _Remap(self.node_ids)
         else:
@@ -88,19 +120,14 @@ class Graph:
                 VertexDict, _RemapSharded)
 
             self.vdict = VertexDict.build(
-                uniq_ds, num_partitions=self.config.num_partitions)
+                id_refs, np.concatenate([m[1] for m in metas]))
             self.node_ids = None
             self.num_vertices = self.vdict.num_vertices
             remap = _RemapSharded(
                 (self.vdict.mins, self.vdict.offsets, self.vdict.block_refs))
 
-        # sort by (s, d) before pinning: range-partitioned blocks give the
-        # per-block partial aggregation locality (few distinct message
-        # keys per block), which is what keeps superstep shuffle/combine
-        # volume ≪ edge volume
-        self.edges = self._canon_ds.map_batches(
-            remap, batch_format="pyarrow",
-            batch_size=self.config.batch_size).sort(["s", "d"]).materialize()
+        self.edges = _range_layout(blocks, remap, metas, self.num_vertices,
+                                   width)
         self.num_edges = self.edges.count()
 
         if self.sharded:
@@ -255,13 +282,13 @@ def _to_canonical(batch: pa.Table) -> pa.Table:
 
 
 class _Remap:
-    """map_batches callable: original ids → dense 0..n-1 by a search in
-    the sorted id array it carries. Ray Data puts the callable into the
-    object store once per execution and tasks read it zero-copy, so the
-    ids are not re-shipped per batch. They travel by value, not as a
-    nested ``ray.put`` ref: such a ref outlived its graph whenever shard
-    actors had held the graph's blocks (one n-vector per job left in
-    the store, 137,048 B on the benchmark's lineitem graph)."""
+    """Edge-table callable: original ids → dense 0..n-1 by a search in
+    the sorted id array it carries. ``_range_layout`` puts it into the
+    object store once and its tasks read it zero-copy. The ids travel
+    by value inside it, not as a nested ``ray.put`` ref: such a ref
+    outlived its graph whenever shard actors had held the graph's
+    blocks (one n-vector per job left in the store, 137,048 B on the
+    benchmark's lineitem graph)."""
 
     def __init__(self, ids: np.ndarray):
         self._ids = ids
@@ -278,10 +305,71 @@ class _Remap:
         })
 
 
-def _unique_vertices(batch: pa.Table) -> pa.Table:
-    v = np.unique(np.concatenate([batch.column("src").to_numpy(),
-                                  batch.column("dst").to_numpy()]))
-    return pa.table({"v": pa.array(v.astype(np.int64))})
+def _block_ids(block: pa.Table, m: int):
+    """One canonical edge block → (its sorted distinct vertex ids,
+    (their count, a sample of them, a sample of its (src, dst) keys as
+    a src and a dst array)). Samples are evenly spaced in sorted order,
+    at most ``m`` each."""
+    src = block.column("src").to_numpy()
+    dst = block.column("dst").to_numpy()
+    ids = np.unique(np.concatenate([src, dst]))
+    keys = np.lexsort((dst, src))[even_sample(src.size, m)]
+    return ids, (ids.size, ids[even_sample(ids.size, m)],
+                 src[keys], dst[keys])
+
+
+def _range_layout(blocks: list, remap, metas: list, n: int, width: int):
+    """Canonical edge blocks → the dense-id edge Dataset: rows sorted by
+    (s, d) and range-partitioned into up to ``width`` blocks, one per
+    range, so a shard's slice is one (s, d) range (few distinct message
+    keys per shard). The cut points are edges picked from the blocks'
+    samples, and each block's sample is a pure function of its rows, so
+    the layout is a pure function of the input blocks: float sums over
+    a shard stay bit-identical across runs (a Dataset ``sort`` draws its
+    cut points at random). Raw tasks throughout: one remap-and-split
+    task per input block, one merge task per range."""
+    import ray
+    import ray.data
+
+    if not blocks:
+        return ray.data.from_arrow(pa.table(
+            {c: pa.array([], type=pa.int64()) for c in ("s", "d", "w")}))
+    src = np.concatenate([m[2] for m in metas])
+    dst = np.concatenate([m[3] for m in metas])
+    order = np.lexsort((dst, src))
+    cut = order[cut_positions(order.size, width)]
+    cuts = (src[cut], dst[cut])
+    parts = cut.size + 1
+
+    def key(t: pa.Table) -> np.ndarray:
+        # (s, d) packed: < 2^62 within the 2^31-vertex envelope
+        return t.column("s").to_numpy() * n + t.column("d").to_numpy()
+
+    @ray.remote(num_returns=parts)
+    def remap_split(block: pa.Table, remap, cuts):
+        t = remap(block)
+        k = key(t)
+        order = np.argsort(k)
+        rows = np.column_stack([t.column(c).to_numpy()
+                                for c in ("s", "d", "w")])[order]
+        at = np.searchsorted(k[order], key(remap(pa.table(
+            {"src": cuts[0], "dst": cuts[1]}))))
+        pieces = np.split(rows, at)
+        return tuple(pieces) if parts > 1 else pieces[0]
+
+    @ray.remote
+    def merge(*pieces):
+        rows = np.concatenate(pieces)
+        # each piece is sorted; a stable sort merges the runs
+        rows = rows[np.argsort(rows[:, 0] * n + rows[:, 1], kind="stable")]
+        return pa.table({c: rows[:, i] for i, c in enumerate("sdw")})
+
+    remap = ray.put(remap)
+    split = [remap_split.remote(b, remap, cuts) for b in blocks]
+    if parts == 1:
+        split = [[p] for p in split]
+    return ray.data.from_arrow_refs(
+        [merge.remote(*[p[i] for p in split]) for i in range(parts)])
 
 
 def _degree_partial(batch: pa.Table) -> pa.Table:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from centrality_gpu_ray.shard_actor import remote_class
+from centrality_gpu_ray.stages.shuffle import cluster_width
 
 
 def _numpy_blocks(ds, min_blocks: int = 1) -> list:
@@ -126,17 +127,16 @@ class ShardPool:
         import ray
 
         # pool parallelism tracks the cluster (explicit num_shards
-        # overrides), capped at 16 per node: the superstep is
-        # memory-bandwidth-bound, and a measured P-sweep at 32 CPUs gives
-        # 0.16/0.06/0.057/0.18 s per superstep at P=4/8/16/32 — beyond
-        # ~16 shards per memory bus the per-superstep task/object fixed
-        # costs grow while the bus adds nothing. NOT capped by input
-        # block count — a materialized sort can emit far fewer blocks
-        # than CPUs (measured: 7 blocks at sf0.1, silently limiting
-        # "32-CPU" runs to 7 shards); repartition first so every shard
-        # gets work.
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        k = max(1, num_shards or min(cpus, 16))
+        # overrides), capped at 16 per node (``cluster_width``): the
+        # superstep is memory-bandwidth-bound, and a measured P-sweep at
+        # 32 CPUs gives 0.16/0.06/0.057/0.18 s per superstep at
+        # P=4/8/16/32 — beyond ~16 shards per memory bus the
+        # per-superstep task/object fixed costs grow while the bus adds
+        # nothing. A Graph's edge Dataset has one block per (s, d) range
+        # and as many ranges as this width, so each shard gets one
+        # range; only an input with fewer non-empty blocks than shards
+        # (a tiny graph, an explicit larger num_shards) is repartitioned.
+        k = max(1, num_shards or cluster_width())
         block_refs = _numpy_blocks(edges_ds, k)
         k = max(1, min(k, len(block_refs)))
         assignments: list[list] = [[] for _ in range(k)]
@@ -161,8 +161,7 @@ class ShardPool:
         import ray
 
         self = cls.__new__(cls)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        k = max(1, num_owners or min(cpus, 16))
+        k = max(1, num_owners or cluster_width())
         self.actors = [remote_class().remote() for _ in range(k)]
         self._frontier_capable = False
         ray.get([a.ready.remote() for a in self.actors])

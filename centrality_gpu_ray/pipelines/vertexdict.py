@@ -5,11 +5,12 @@ The dense path builds the sorted distinct-id vector on the driver
 set does not fit a driver vector, so the dictionary itself is built
 distributed and lives as range-partitioned plasma blocks:
 
-1. per-block partial unique (one map pass, no shuffle),
-2. exact distinct via the explicit hash shuffle
-   (``stages/shuffle.py::hash_distinct``),
-3. global ``sort("v")`` → sorted, range-partitioned id blocks,
-4. per-block (min, count) — P scalars — to the driver; dense id of an
+1. per-block partial unique (one task per edge block, no shuffle;
+   ``Graph`` runs it),
+2. one range exchange: each partial splits at cut points drawn from
+   a sample of the ids, and each range merges into one sorted,
+   distinct block,
+3. per-block (min, count) — P scalars — to the driver; dense id of an
    original id = block offset + rank within its block.
 
 The driver holds only the P block boundaries/offsets. Mappers resolve
@@ -44,43 +45,43 @@ class VertexDict:
         self.num_vertices = int(offsets[-1])
 
     @staticmethod
-    def build(uniq_ds, num_partitions: int = 16) -> "VertexDict":
-        """``uniq_ds``: Dataset with an int64 ``v`` column of candidate
-        ids (per-block pre-uniqued; cross-block duplicates fine)."""
+    def build(id_refs: list, sample: np.ndarray) -> "VertexDict":
+        """``id_refs``: refs to sorted int64 arrays of candidate ids
+        (each distinct; cross-array duplicates fine). ``sample``: ids
+        drawn from them, the source of the range cut points.
+
+        One range exchange in raw tasks: each array splits at the cut
+        points, and each range merges its pieces into one sorted,
+        distinct block. Ranges ascend, so the blocks come out in global
+        order by construction."""
         import ray
 
-        from centrality_gpu_ray.stages.shuffle import hash_distinct
+        from centrality_gpu_ray.stages.shuffle import cluster_width, cut_positions
 
-        dist = hash_distinct(uniq_ds, ["v"], num_partitions=num_partitions)
-        sorted_ds = dist.sort("v").materialize()
+        sample = np.unique(sample)
+        cuts = sample[cut_positions(sample.size, cluster_width())]
+        parts = cuts.size + 1
 
-        @ray.remote
-        def to_array(block: pa.Table):
-            v = np.ascontiguousarray(block.column("v").to_numpy())
+        @ray.remote(num_returns=parts)
+        def split(ids: np.ndarray):
+            pieces = np.split(ids, np.searchsorted(ids, cuts))
+            return tuple(pieces) if parts > 1 else pieces[0]
+
+        @ray.remote(num_returns=2)
+        def merge(*pieces):
+            v = np.unique(np.concatenate(pieces))
             return v, (int(v[0]) if v.size else None, int(v.size))
 
-        pairs = []
-        for bundle in sorted_ds.iter_internal_ref_bundles():
-            for block_ref, meta in bundle.blocks:
-                if meta.num_rows is None or meta.num_rows > 0:
-                    pairs.append(to_array.options(num_returns=2).remote(block_ref))
-        metas = [ray.get(m) for _, m in pairs]
-        arr_refs = [a for a, _ in pairs]
-        keep = [(r, m) for r, m in zip(arr_refs, metas) if m[1] > 0]
+        pieces = [split.remote(r) for r in id_refs]
+        if parts == 1:
+            pieces = [[p] for p in pieces]
+        pairs = [merge.remote(*[p[i] for p in pieces]) for i in range(parts)]
+        metas = ray.get([m for _, m in pairs])
+        keep = [(r, m) for (r, _), m in zip(pairs, metas) if m[1] > 0]
         mins = np.array([m[0] for _, m in keep], dtype=np.int64)
         counts = np.array([m[1] for _, m in keep], dtype=np.int64)
         offsets = np.zeros(len(keep) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        # The whole dictionary depends on iter_internal_ref_bundles()
-        # yielding the sort("v") blocks in GLOBAL sorted order. If that
-        # internal-API invariant ever breaks, every searchsorted remap
-        # would silently corrupt ids — make it a loud O(P) failure
-        # instead (ADVICE r2).
-        if not np.all(np.diff(mins) > 0):
-            raise AssertionError(
-                "VertexDict.build: sorted dict blocks arrived out of "
-                "global order (Ray internal block-order invariant "
-                f"violated); block mins = {mins.tolist()[:20]}...")
         return VertexDict([r for r, _ in keep], mins, offsets)
 
 
@@ -120,7 +121,7 @@ class _DictReader:
 
 
 class _RemapSharded:
-    """map_batches callable: (src, dst, weight) → dense (s, d, w)."""
+    """Edge-table callable: (src, dst, weight) → dense (s, d, w)."""
 
     def __init__(self, dict_meta):
         self._reader = _DictReader(dict_meta)

@@ -10,9 +10,9 @@ Replaces the reference's text edge-list ingest + adjacency build
 * :func:`canonicalize` / :func:`dedup_edges` — exact edge dedup via
   canonical ``(min(u,v), max(u,v))`` key (the reference packs the same
   key into a u64 set, ``bcc_bfs.cpp:29-30, 657-659``); weights of
-  duplicate co-occurrences are summed. Dedup pre-aggregates per batch
-  (pyarrow ``Table.group_by``) before the global groupby so the shuffle
-  moves at most one row per distinct edge per block.
+  duplicate co-occurrences are summed. The shuffle pre-aggregates per
+  block (pyarrow ``Table.group_by``) before the global one, so it moves
+  at most one row per distinct edge per block.
 * :func:`symmetrize` — one zero-copy Arrow concat per batch emitting
   both directions (M1, ``graph.cpp:50-59``); self-loops dropped (M2,
   the ``assert(srcs!=dsts)`` at ``to_eargraph_construct.cpp:87``).
@@ -38,18 +38,14 @@ def _canonical_batch(batch: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def _drop_self_loops(batch: pa.Table) -> pa.Table:
-    return batch.filter(pc.not_equal(batch["src"], batch["dst"]))
-
-
-def _local_dedup(batch: pa.Table) -> pa.Table:
-    """Per-batch partial aggregation: sum weights per (src, dst)."""
-    if "weight" not in batch.column_names:
-        batch = batch.append_column("weight", pa.array(np.ones(len(batch), dtype=np.int64)))
-    out = batch.group_by(["src", "dst"]).aggregate([("weight", "sum")])
-    # select by name — pyarrow group_by column order is version-dependent
-    return pa.table({"src": out.column("src"), "dst": out.column("dst"),
-                     "weight": out.column("weight_sum")})
+def _canonical_weighted(batch: pa.Table) -> pa.Table:
+    """Self-loops dropped, ``src < dst``, weight 1 where none is given."""
+    batch = batch.filter(pc.not_equal(batch["src"], batch["dst"]))
+    out = _canonical_batch(batch)
+    if "weight" not in out.column_names:
+        out = out.append_column(
+            "weight", pa.array(np.ones(len(out), dtype=np.int64)))
+    return out
 
 
 def canonicalize(ds):
@@ -57,23 +53,27 @@ def canonicalize(ds):
     return ds.map_batches(_canonical_batch, batch_format="pyarrow")
 
 
-def dedup_edges(ds, sum_weights: bool = True, num_partitions: int = 32):
+def dedup_edges(ds, sum_weights: bool = True):
     """Exact dedup on the canonical key; duplicate weights summed.
 
-    Explicit two-stage hash shuffle keyed on (src, dst)
-    (``stages/shuffle.py``); the per-batch ``_local_dedup`` partial keeps
-    shuffle volume bounded by (#distinct edges per block), which also
-    bounds hub-key skew at the reducer.
-    """
-    from centrality_gpu_ray.stages.shuffle import hash_aggregate
+    One map pass (drop self-loops, orient ``src < dst``, weight 1 where
+    none is given), then one explicit two-stage hash shuffle keyed on
+    (src, dst) (``stages/shuffle.py::hash_aggregate``), as wide as the
+    cluster (``cluster_width``). Its map side sums weights per block,
+    so the shuffle moves at most one row per distinct edge per block,
+    which also bounds hub-key skew at the reducer.
 
-    pre = (
-        ds.map_batches(_drop_self_loops, batch_format="pyarrow")
-        .map_batches(_canonical_batch, batch_format="pyarrow")
-        .map_batches(_local_dedup, batch_format="pyarrow")
-    )
+    With ``sum_weights`` (the default) the output is materialized, one
+    block per partition, and each block's rows are a pure function of
+    the edge set and the width:
+    ``src < dst``, no self-loops, no duplicates, an int64 ``weight`` —
+    what ``Graph`` consumes without a further pass.
+    """
+    from centrality_gpu_ray.stages.shuffle import cluster_width, hash_aggregate
+
+    pre = ds.map_batches(_canonical_weighted, batch_format="pyarrow")
     out = hash_aggregate(pre, ["src", "dst"], [("weight", "sum")],
-                         num_partitions=num_partitions)
+                         num_partitions=cluster_width())
     if not sum_weights:
         out = out.map_batches(
             lambda t: t.set_column(t.schema.get_field_index("weight"),
@@ -162,7 +162,12 @@ def _nodes_from_corpus_batch(batch: pa.Table, dir_depth: int = 2) -> pa.Table:
 
 
 def derive_corpus_edges(corpus_ds, dir_depth: int = 2, directed: bool = False):
-    """Corpus Dataset → clean symmetric co-occurrence edge Dataset."""
+    """Corpus Dataset → clean symmetric co-occurrence edge Dataset.
+
+    The output holds both directions of every edge. Pass it to ``Graph``
+    with ``normalized=True``: without it, ``Graph`` dedups it again (a
+    second shuffle over 2m rows) and the two directions of each edge
+    fold into one row with the weight counted twice."""
     raw = corpus_ds.select_columns(["repo", "path", "commit"]).map_batches(
         lambda t: _edges_from_corpus_batch(t, dir_depth), batch_format="pyarrow")
     return normalize_edges(raw, directed=directed)

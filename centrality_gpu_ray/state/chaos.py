@@ -64,10 +64,12 @@ def run_chaos_pagerank(make_graph, cfg_factory,
     g_chaos = make_graph()
     pids = ray.get([a.pid.remote() for a in g_chaos.pool.actors])
     killed: list[int] = []
-    # dense CheckpointManager lays out <ck>/step_<k>/manifest.json;
-    # sharded PageRank's checkpoint_owners lays out
-    # <ck>/pagerank_sharded/step-<k>/ — watch both
-    watch_dirs = (ck, os.path.join(ck, "pagerank_sharded"))
+    # dense PageRank's CheckpointManager lays out
+    # <ck>/pagerank/step_<k>/manifest.json; sharded PageRank's
+    # checkpoint_owners lays out <ck>/pagerank_sharded/step-<k>/ —
+    # watch both
+    watch_dirs = (os.path.join(ck, "pagerank"),
+                  os.path.join(ck, "pagerank_sharded"))
 
     def steps_done() -> int:
         total = 0

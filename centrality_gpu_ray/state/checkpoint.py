@@ -17,7 +17,10 @@ Resume = find the highest ``step_k`` with a ``manifest.json`` and
 continue from it (:func:`latest_checkpoint`). Sharded graphs keep their
 state in the pool's owners and checkpoint it per owner instead
 (``ShardPool.checkpoint_owners``: ``<dir>/<algo>/step-<k>/``);
-:class:`LoopCheckpoint` puts both layouts behind one resume/save pair.
+:class:`LoopCheckpoint` puts both layouts behind one resume/save pair,
+and on dense graphs roots the manager at ``<checkpoint_dir>/<algo>/``
+too, so algorithms sharing one ``checkpoint_dir`` keep their state
+side by side on either kind of graph.
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ class LoopCheckpoint:
     local loops and the pool loops alike. Dense graphs keep
     :class:`CheckpointManager`'s ``(node, col)`` tables; a resume maps
     them back through ``Graph.dense_index`` and starts over when they
-    belong to another graph. Sharded graphs keep per-owner chunks under
+    belong to another graph; they live under ``<checkpoint_dir>/<algo>/``.
+    Sharded graphs keep per-owner chunks under
     ``<checkpoint_dir>/<sharded_algo>/``. ``ids=True``: the values are
     dense vertex ids (labels), stored as original ids."""
 
@@ -135,9 +139,10 @@ class LoopCheckpoint:
                  sharded_algo: str | None = None, ids: bool = False):
         self.graph, self.cfg, self.col, self.ids = graph, cfg, col, ids
         self.algo = sharded_algo or algo
-        self.manager = CheckpointManager(cfg.checkpoint_dir, algo,
-                                         cfg.checkpoint_every,
-                                         cfg.num_partitions)
+        root = cfg.checkpoint_dir
+        self.manager = CheckpointManager(
+            None if root is None else os.path.join(root, algo), algo,
+            cfg.checkpoint_every, cfg.num_partitions)
 
     def resume(self, pool=None) -> tuple[int, np.ndarray | None]:
         """(first superstep to run, restored dense vector or None). With

@@ -1,5 +1,7 @@
 """Conformance tests on the reference's sample graphs (FIXTURES.md §3)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -435,17 +437,26 @@ def test_weighted_closeness_vs_bellman_ford():
 
 
 def test_ppr_checkpoint_namespace_isolated(tmp_path):
-    # a plain-PageRank checkpoint must never be silently resumed by a
-    # personalized run: distinct algorithm namespaces per teleport
-    # vector make the manager REFUSE the foreign state loudly
+    # a plain-PageRank checkpoint must never be resumed by a
+    # personalized run: each teleport vector checkpoints under its own
+    # <checkpoint_dir>/<algo>/ namespace, beside plain PageRank's
     ck = str(tmp_path / "ck")
     cfg = EngineConfig(tolerance=0.0, max_supersteps=10,
                        checkpoint_dir=ck, checkpoint_every=2)
     g = _graph("test4", mode="local")
     pagerank(g, cfg)  # writes plain-PR checkpoints
     pers = {int(g.node_ids[0]): 1.0}
-    with pytest.raises(ValueError, match="holds pagerank state"):
-        pagerank(_graph("test4", mode="local"), cfg, personalization=pers)
+    m = {}
+    got = pagerank(_graph("test4", mode="local"), cfg, personalization=pers,
+                   metrics=m).to_pandas().sort_values("node")
+    assert m["resumed_from"] is None
+    fresh = pagerank(_graph("test4", mode="local"),
+                     EngineConfig(tolerance=0.0, max_supersteps=10),
+                     personalization=pers).to_pandas().sort_values("node")
+    assert np.array_equal(got["pagerank"].values, fresh["pagerank"].values)
+    names = sorted(os.listdir(ck))
+    assert len(names) == 2 and names[0] == "pagerank"
+    assert names[1].startswith("ppr_")
 
     # a fresh dir with the SAME personalization resumes bit-identically
     ck2 = str(tmp_path / "ck2")
@@ -457,7 +468,8 @@ def test_ppr_checkpoint_namespace_isolated(tmp_path):
                  personalization=pers).to_pandas().sort_values("node")
     assert np.allclose(a["pagerank"].values, b["pagerank"].values,
                        atol=1e-15)
-    # ...and a DIFFERENT personalization against that dir is refused
-    with pytest.raises(ValueError, match="holds ppr_"):
-        pagerank(_graph("test4", mode="local"), cfg2,
-                 personalization={int(g.node_ids[1]): 1.0})
+    # ...and a DIFFERENT personalization against that dir starts fresh
+    m = {}
+    pagerank(_graph("test4", mode="local"), cfg2,
+             personalization={int(g.node_ids[1]): 1.0}, metrics=m)
+    assert m["resumed_from"] is None
