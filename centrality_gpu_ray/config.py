@@ -20,7 +20,8 @@ class EngineConfig:
         tolerance: L1 convergence threshold for iterative algorithms.
         max_supersteps: hard cap on superstep count.
         batch_size: rows per ``map_batches`` batch in Dataset-side edge
-            passes (MIS, link prediction, ...).
+            passes (link prediction, induced subgraphs, triangle
+            listing, ...).
         num_partitions: target partition count for the shuffles of
             Dataset-side pipelines (the graph build sizes its own from
             the cluster, ``stages/shuffle.py::cluster_width``).

@@ -38,12 +38,12 @@ def _lloyd(X: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
     """Deterministic plain-L2 Lloyd over a driver-side sample.  Init =
     k rows of a splitmix-seeded permutation (distinct rows first so
     duplicate-heavy samples don't collapse centroids)."""
-    from centrality_gpu_ray.functions.sketch import _splitmix
+    from centrality_gpu_ray.nputil import splitmix
 
     Xu = np.unique(X, axis=0)
     base = Xu if Xu.shape[0] >= k else X
-    pri = _splitmix(np.arange(base.shape[0], dtype=np.int64)
-                    .view(np.uint64) ^ np.uint64(seed & (2**64 - 1)))
+    pri = splitmix(np.arange(base.shape[0], dtype=np.int64)
+                   .view(np.uint64) ^ np.uint64(seed & (2**64 - 1)))
     C = base[np.argsort(pri)[:k]].astype(np.float64).copy()
     if C.shape[0] < k:  # fewer distinct points than codewords
         C = np.vstack([C, np.repeat(C[:1], k - C.shape[0], axis=0)])

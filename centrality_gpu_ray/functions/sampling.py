@@ -190,15 +190,15 @@ def weighted_sample_k(ds, k: int, weight_col: str,
     """
     import pyarrow as pa
 
-    from centrality_gpu_ray.functions.sketch import _splitmix
+    from centrality_gpu_ray.nputil import splitmix
 
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    salt = _splitmix(np.array([seed], dtype=np.uint64) ^
-                     np.uint64(0x9E3779B97F4A7C15))[0]
+    salt = splitmix(np.array([seed], dtype=np.uint64) ^
+                    np.uint64(0x9E3779B97F4A7C15))[0]
 
     def keys_for(ids: np.ndarray, w: np.ndarray):
-        h = _splitmix(ids.astype(np.int64).view(np.uint64) ^ salt)
+        h = splitmix(ids.astype(np.int64).view(np.uint64) ^ salt)
         u = ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
         with np.errstate(divide="ignore", invalid="ignore"):
             key = np.log(u) / w

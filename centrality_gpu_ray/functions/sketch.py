@@ -27,6 +27,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from centrality_gpu_ray.nputil import splitmix
+
 
 def _alpha(m: int) -> float:
     if m == 16:
@@ -320,16 +322,8 @@ def _canon_values(values) -> np.ndarray:
     return v.astype(object)
 
 
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — the ONE mixing step behind both the CMS
-    rows and the Bloom double-hash family (they must stay identical)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
 def _cms_hash(values: np.ndarray, row: int, width: int) -> np.ndarray:
-    x = _splitmix(pd.util.hash_array(values) ^ _CMS_SEEDS[row])
+    x = splitmix(pd.util.hash_array(values) ^ _CMS_SEEDS[row])
     return (x % np.uint64(width)).astype(np.int64)
 
 
@@ -453,8 +447,8 @@ def _bloom_indices(values: np.ndarray, m: int, k: int) -> np.ndarray:
     dtype rule shared with CMS — see ``_canon_values``)."""
     v = _canon_values(values)
     base = pd.util.hash_array(v)  # ONE call — big per-call fixed cost
-    h1 = _splitmix(base ^ _CMS_SEEDS[0])
-    h2 = _splitmix(base ^ _CMS_SEEDS[1]) | np.uint64(1)
+    h1 = splitmix(base ^ _CMS_SEEDS[0])
+    h2 = splitmix(base ^ _CMS_SEEDS[1]) | np.uint64(1)
     out = np.empty(k * v.size, dtype=np.int64)
     mm = np.uint64(m)
     for i in range(k):

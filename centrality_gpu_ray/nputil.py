@@ -1,5 +1,8 @@
 """Shared vectorized numpy helpers (one copy — four modules used to
-carry byte-identical private reimplementations of ragged_arange)."""
+carry byte-identical private reimplementations of ragged_arange).
+
+Numpy-only at module level: the shard actor imports this module, and an
+actor process loads whatever its imports drag in."""
 
 from __future__ import annotations
 
@@ -22,6 +25,52 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     out[0] = 0
     out[ends[:-1]] = 1 - nz[:-1]
     return np.cumsum(out)
+
+
+def splitmix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over uint64 — the ONE mixing step behind the
+    CMS rows, the Bloom double-hash family and the MIS/JP priorities
+    (they must stay identical)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class DictReader:
+    """Per-worker cached zero-copy views of the sharded vertex
+    dictionary's blocks (``pipelines/vertexdict.py``); ``dict_meta`` is
+    ``(mins, offsets, block_refs)``."""
+
+    def __init__(self, dict_meta):
+        self._mins, self._offsets, self._block_refs = dict_meta
+        self._blocks = None
+
+    def _ensure(self):
+        if self._blocks is None:
+            import ray
+
+            self._blocks = ray.get(list(self._block_refs))
+        return self._blocks
+
+    def to_dense(self, x: np.ndarray) -> np.ndarray:
+        """Original ids → dense 0..n-1 (every id must be present)."""
+        blocks = self._ensure()
+        blk = np.searchsorted(self._mins, x, side="right") - 1
+        out = np.empty(x.size, dtype=np.int64)
+        for b in np.unique(blk):
+            m = blk == b
+            out[m] = self._offsets[b] + np.searchsorted(blocks[b], x[m])
+        return out
+
+    def to_original(self, dense: np.ndarray) -> np.ndarray:
+        """Dense ids → original ids."""
+        blocks = self._ensure()
+        blk = np.searchsorted(self._offsets, dense, side="right") - 1
+        out = np.empty(dense.size, dtype=np.int64)
+        for b in np.unique(blk):
+            m = blk == b
+            out[m] = blocks[b][dense[m] - self._offsets[b]]
+        return out
 
 
 def arrow_type(t):

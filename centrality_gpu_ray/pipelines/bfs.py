@@ -136,10 +136,10 @@ def approx_diameter(graph: Graph, num_samples: int = 32, seed: int = 42,
     if getattr(graph, "sharded", False):
         # map sampled dense ids through the distributed dictionary —
         # O(k log) page touches on zero-copy plasma views, no O(n) pull
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+        from centrality_gpu_ray.nputil import DictReader
 
-        reader = _DictReader((graph.vdict.mins, graph.vdict.offsets,
-                              graph.vdict.block_refs))
+        reader = DictReader((graph.vdict.mins, graph.vdict.offsets,
+                             graph.vdict.block_refs))
         sources = reader.to_original(np.sort(dense_sample))
     else:
         sources = graph.node_ids[dense_sample]

@@ -65,9 +65,9 @@ class _OrigMapper:
 
         if self._kind == "vdict":
             if self._reader is None:
-                from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+                from centrality_gpu_ray.nputil import DictReader
 
-                self._reader = _DictReader(self._meta)
+                self._reader = DictReader(self._meta)
             return self._reader.to_original(dense.astype(np.int64))
         if self._reader is None:
             self._reader = ray.get(self._meta)

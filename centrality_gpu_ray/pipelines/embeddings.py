@@ -47,6 +47,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from centrality_gpu_ray.nputil import splitmix
+
 __all__ = ["sgns_train", "sgns_train_sharded", "sgns_collect",
            "sgns_embeddings_dataset", "embedding_table",
            "node2vec_embeddings"]
@@ -55,19 +57,13 @@ _U64 = np.uint64
 _PHI = _U64(0x9E3779B97F4A7C15)
 
 
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
-
-
 def _init_rows(lo: int, hi: int, dim: int, seed: int) -> np.ndarray:
     """Rows [lo, hi) of the deterministic uniform(-0.5/dim, 0.5/dim)
     init (the word2vec syn0 convention), derived per (seed, flat
     index) — identical on any machine AND for any row slicing, so
     owner-resident chunks equal the dense matrix's rows exactly."""
     idx = np.arange(lo * dim, hi * dim, dtype=np.uint64)
-    h = _splitmix(idx * _PHI + _U64(seed * 2 + 1))
+    h = splitmix(idx * _PHI + _U64(seed * 2 + 1))
     u = h.astype(np.float64) / float(2**64)  # [0, 1)
     return ((u - 0.5) / dim).reshape(hi - lo, dim)
 
@@ -115,12 +111,12 @@ def _draw_negatives(c: np.ndarray, x: np.ndarray, it: int, neg: int,
     """(m, neg) int64 — stateless splitmix stream keyed on pair
     CONTENT (not row position), so any partitioning of the same pair
     multiset yields the same multiset of negatives."""
-    base = _splitmix(c.astype(np.uint64) * _PHI
-                     ^ _splitmix(x.astype(np.uint64) + _U64(seed)))
-    ks = base[:, None] ^ _splitmix(
+    base = splitmix(c.astype(np.uint64) * _PHI
+                    ^ splitmix(x.astype(np.uint64) + _U64(seed)))
+    ks = base[:, None] ^ splitmix(
         np.arange(neg, dtype=np.uint64)[None, :] * _PHI
         + _U64(it * 2 + 1))
-    u = _splitmix(ks).astype(np.float64) / float(2**64)
+    u = splitmix(ks).astype(np.float64) / float(2**64)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
@@ -437,9 +433,9 @@ def sgns_embeddings_dataset(pool, vdict=None, emb_col: str = "embedding"):
     def emit(lo: int, hi: int, w: np.ndarray):
         ids = np.arange(lo, hi, dtype=np.int64)
         if meta is not None:
-            from centrality_gpu_ray.pipelines.vertexdict import \
-                _DictReader
-            ids = _DictReader(meta).to_original(ids)
+            from centrality_gpu_ray.nputil import DictReader
+
+            ids = DictReader(meta).to_original(ids)
         return embedding_table(w, ids, emb_col=emb_col)
 
     bounds = pool.bounds
@@ -550,10 +546,10 @@ class _PairRemapSharded:
         self._reader = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+        from centrality_gpu_ray.nputil import DictReader
 
         if self._reader is None:
-            self._reader = _DictReader(self._meta)
+            self._reader = DictReader(self._meta)
         c = self._reader.to_dense(t.column("center").to_numpy())
         x = self._reader.to_dense(t.column("context").to_numpy())
         return pa.table({"center": pa.array(c), "context": pa.array(x)})

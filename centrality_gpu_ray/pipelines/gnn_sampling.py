@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from centrality_gpu_ray.functions.sketch import _splitmix
+from centrality_gpu_ray.nputil import splitmix
 from centrality_gpu_ray.nputil import ragged_arange as _ragged
 from centrality_gpu_ray.pipelines.graph import Graph
 
@@ -42,9 +42,9 @@ def _edge_rank(src: np.ndarray, nbr: np.ndarray, seed: int,
     """Content-keyed per-directed-edge rank (dense ids < 2^32)."""
     key = (src.astype(np.uint64) << np.uint64(32)) \
         | nbr.astype(np.uint64)
-    salt = _splitmix(np.uint64((seed & 0xFFFFFFFF) * 1024 + layer)
-                     * _PHI)
-    return _splitmix(key ^ salt)
+    salt = splitmix(np.uint64((seed & 0xFFFFFFFF) * 1024 + layer)
+                    * _PHI)
+    return splitmix(key ^ salt)
 
 
 def _topf_per_src(src: np.ndarray, nbr: np.ndarray, h: np.ndarray,
@@ -150,14 +150,14 @@ def _sample_sharded(graph: Graph, seeds: np.ndarray, fanouts,
                     seed: int) -> pa.Table:
     import ray
 
-    from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+    from centrality_gpu_ray.nputil import DictReader
 
     pool = graph.pool
     if not getattr(pool, "_frontier_capable", True):
         raise ValueError("neighbor_sample: sharded path needs a "
                          "frontier-capable pool")
-    reader = _DictReader((graph.vdict.mins, graph.vdict.offsets,
-                          graph.vdict.block_refs))
+    reader = DictReader((graph.vdict.mins, graph.vdict.offsets,
+                         graph.vdict.block_refs))
     orig = reader.to_original(np.arange(0))  # warm block fetch
     del orig
     # loud seed validation via clamped round-trip (a foreign id can

@@ -57,6 +57,10 @@ from centrality_gpu_ray.stages.shuffle import (
     _nonempty_block_refs, cluster_width, cut_positions, even_sample)
 
 LOCAL_EDGE_CUTOFF = 2_000_000  # deduped undirected edges
+# dense graphs up to this many edges run the round-based kernels (MIS,
+# JP coloring, Louvain's local moves) on driver arrays: below it a few
+# hundred pool round trips cost more than the whole driver kernel
+DRIVER_KERNEL_EDGES = 4_000_000
 
 
 class Graph:
@@ -150,6 +154,14 @@ class Graph:
             self._pool = ShardPool(self.edges)
         return self._pool
 
+    @property
+    def rounds_on_driver(self) -> bool:
+        """Whether MIS and JP coloring run their rounds on driver
+        arrays (local graphs, dense ones up to ``DRIVER_KERNEL_EDGES``
+        edges) rather than on ``self.pool``."""
+        return self.mode == "local" or (
+            not self.sharded and self.num_edges <= DRIVER_KERNEL_EDGES)
+
     def canonical_edges(self):
         """The materialized canonical edge Dataset in ORIGINAL node ids
         — one (src, dst, weight) row per undirected edge, src < dst, no
@@ -222,10 +234,10 @@ class Graph:
         if n == 0:
             return None if nodes.size else np.empty(0, dtype=np.int64)
         if self.sharded:
-            from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+            from centrality_gpu_ray.nputil import DictReader
 
-            reader = _DictReader((self.vdict.mins, self.vdict.offsets,
-                                  self.vdict.block_refs))
+            reader = DictReader((self.vdict.mins, self.vdict.offsets,
+                                 self.vdict.block_refs))
             idx = np.clip(reader.to_dense(nodes), 0, n - 1)
             back = reader.to_original(idx)
         else:
@@ -234,20 +246,23 @@ class Graph:
         return idx if np.array_equal(back, nodes) else None
 
     def owner_scores(self, pool, col: str, cast=None, ids: bool = False,
-                     aux_col: str | None = None, aux_ids: bool = False):
+                     aux_col: str | None = None, aux_ids: bool = False,
+                     aux_cast: str | None = None):
         """The pool owners' state (and aux) → ``(node, col[, aux_col])``
         rows in original ids: a ``pa.Table`` on dense graphs, a Dataset
         (``vertexdict.scores_dataset``) on sharded ones. ``ids`` maps
         the values (dense vertex ids, e.g. CC labels) to original ids;
         ``aux_ids`` does the same for non-negative aux values (e.g. BFS
         parents; negatives become -1). ``cast``: a numpy dtype name or
-        a function applied to the value vector."""
+        a function applied to the value vector; ``aux_cast``: a numpy
+        dtype name for the aux vector."""
         if self.sharded:
             from centrality_gpu_ray.pipelines.vertexdict import scores_dataset
 
             return scores_dataset(self.vdict, pool, col,
                                   to_original_values=ids, aux_col=aux_col,
-                                  aux_to_original=aux_ids, value_cast=cast)
+                                  aux_to_original=aux_ids, value_cast=cast,
+                                  aux_cast=aux_cast)
         vals = pool.collect_state()
         if ids:
             vals = self.node_ids[vals.astype(np.int64)]
@@ -260,6 +275,8 @@ class Graph:
         if aux_ids:
             a = aux.astype(np.int64)
             aux = np.where(a >= 0, self.node_ids[np.maximum(a, 0)], -1)
+        elif aux_cast is not None:
+            aux = aux.astype(aux_cast)
         return out.append_column(aux_col, pa.array(aux))
 
     def scores_table(self, values: np.ndarray, col: str) -> pa.Table:

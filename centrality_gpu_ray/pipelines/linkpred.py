@@ -266,14 +266,14 @@ def _distributed(graph: Graph, cfg: EngineConfig, top_k,
                              num_partitions=P)
 
     if graph.sharded:
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+        from centrality_gpu_ray.nputil import DictReader
 
         vd = graph.vdict
         dict_meta = (vd.mins, vd.offsets, vd.block_refs)
 
         def to_orig(t: pa.Table) -> pa.Table:
             out = _finalize(t, n)
-            reader = _DictReader(dict_meta)
+            reader = DictReader(dict_meta)
             u = reader.to_original(out.column("u").to_numpy())
             v = reader.to_original(out.column("v").to_numpy())
             return (out.set_column(0, "u", pa.array(u.astype(np.int64)))
@@ -315,14 +315,14 @@ def _neg_candidates(s: np.ndarray, d: np.ndarray, n: int,
     Self pairs (s == v') are dropped here; accidental positives are
     dropped by the caller's anti-join. Emitted canonicalized with the
     packed key so one exchange serves dedup + anti-join."""
-    from centrality_gpu_ray.functions.sketch import _splitmix
+    from centrality_gpu_ray.nputil import splitmix
 
     key = _pack(s, d, n).view(np.uint64)
     outs = []
     for j in range(1, neg_per_pos + 1):
-        salt = _splitmix(np.array([j], dtype=np.uint64) * _NEG_SALT
-                         ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))[0]
-        v2 = (_splitmix(key ^ salt) % np.uint64(n)).astype(np.int64)
+        salt = splitmix(np.array([j], dtype=np.uint64) * _NEG_SALT
+                        ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))[0]
+        v2 = (splitmix(key ^ salt) % np.uint64(n)).astype(np.int64)
         keep = v2 != s
         outs.append(_pack(s[keep], v2[keep], n))
     cand = (np.unique(np.concatenate(outs)) if outs
@@ -400,13 +400,13 @@ def linkpred_training_set(graph: Graph, neg_per_pos: int = 1,
         batch_format="pyarrow", batch_size=None)
 
     if graph.sharded:
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+        from centrality_gpu_ray.nputil import DictReader
 
         vd = graph.vdict
         dict_meta = (vd.mins, vd.offsets, vd.block_refs)
 
         def to_pairs(dense_u, dense_v):
-            reader = _DictReader(dict_meta)
+            reader = DictReader(dict_meta)
             return reader.to_original(dense_u), reader.to_original(dense_v)
     else:
         ids_ref = ray.put(graph.node_ids)

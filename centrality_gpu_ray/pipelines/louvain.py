@@ -25,12 +25,13 @@ approximation (Grappolo/NetworKit do the same); a per-phase round cap
 plus the no-moves fixpoint bounds it, and modularity is re-scored per
 level so the ACCEPTED hierarchy is exactly measured, not assumed.
 
-Scale posture: the local-move kernel runs on driver arrays — the same
-``LOCAL_FINISH_EDGES``-style envelope as the MIS/coloring residual
-kernels (level-0 is the only big level; every contraction collapses
-the graph by orders of magnitude). Distributed graphs localize
-through ``Graph.local_arrays``; callers past the envelope get a loud
-error rather than a silent driver materialization.
+Scale posture: the local-move kernel runs on driver arrays, within the
+``graph.DRIVER_KERNEL_EDGES`` envelope under which MIS and coloring
+also run on driver arrays (level-0 is the only big level; every
+contraction collapses the graph by orders of magnitude). Distributed
+graphs are pulled through ``Graph.local_arrays``; callers past the
+envelope get a loud error rather than a silent driver
+materialization.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.coloring import _jp_local_rounds
-from centrality_gpu_ray.pipelines.graph import Graph
-from centrality_gpu_ray.pipelines.localize import LOCAL_FINISH_EDGES
+from centrality_gpu_ray.pipelines.graph import DRIVER_KERNEL_EDGES, Graph
 
 __all__ = ["louvain", "louvain_coarse", "modularity_of_labels"]
 
@@ -57,16 +57,6 @@ def _dense_pri(n: int, seed: int) -> np.ndarray:
 
     return mis_priorities(np.arange(n, dtype=np.int64),
                           seed).astype(np.float64)
-
-
-def _color_classes(s: np.ndarray, d: np.ndarray, n: int,
-                   seed: int) -> np.ndarray:
-    colors = np.full(n, -1, dtype=np.int64)
-    rounds = np.zeros(n, dtype=np.int64)
-    z = np.empty(0, dtype=np.int64)
-    _jp_local_rounds(s, d, n, _dense_pri(n, seed), colors, rounds, 0,
-                     z, z, cap=n + 1)
-    return colors
 
 
 def _local_moves(s: np.ndarray, d: np.ndarray, w: np.ndarray,
@@ -83,7 +73,7 @@ def _local_moves(s: np.ndarray, d: np.ndarray, w: np.ndarray,
     k_v += 2 * selfw
     if s.size == 0:
         return comm, 0, 0
-    colors = _color_classes(s, d, n, seed)
+    colors, _ = _jp_local_rounds(s, d, _dense_pri(n, seed), cap=n + 1)
     ncolors = int(colors.max()) + 1
     total_moves = 0
     rounds = 0
@@ -216,10 +206,10 @@ def louvain(graph: Graph, config: EngineConfig | None = None,
             "on driver arrays; level-0 contraction collapses scale — "
             "a >dense_vertex_limit input wants a pre-clustering pass "
             "first, e.g. label_propagation)")
-    if graph.num_edges > max(LOCAL_FINISH_EDGES, 0):
+    if graph.num_edges > DRIVER_KERNEL_EDGES:
         raise ValueError(
             f"louvain: {graph.num_edges} edges exceeds the local-move "
-            f"kernel envelope ({LOCAL_FINISH_EDGES})")
+            f"kernel envelope ({DRIVER_KERNEL_EDGES})")
     n = graph.num_vertices
     s, d, w = graph.local_arrays()
     w = w.astype(np.int64)
@@ -351,10 +341,10 @@ def louvain_coarse(graph: Graph, config: EngineConfig | None = None,
     # distributed scalar; collecting an under-coarsened table first
     # would pay the very blow-up the guard exists to prevent
     n_coarse = agg.count()
-    if n_coarse > LOCAL_FINISH_EDGES:
+    if n_coarse > DRIVER_KERNEL_EDGES:
         raise ValueError(
             f"louvain_coarse: contracted graph still has {n_coarse} "
-            f"edges (> {LOCAL_FINISH_EDGES}); raise lp_supersteps so "
+            f"edges (> {DRIVER_KERNEL_EDGES}); raise lp_supersteps so "
             "the pre-clustering coarsens further")
     parts = [b for b in agg.iter_batches(batch_size=None,
                                          batch_format="pyarrow")]

@@ -127,7 +127,7 @@ def _peel_sharded(graph: Graph, k: int, max_rounds: int | None):
 
     from centrality_gpu_ray.pipelines.graph import _degree_partial
     from centrality_gpu_ray.pipelines.triangles import original_ids_mapper
-    from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+    from centrality_gpu_ray.nputil import DictReader
     from centrality_gpu_ray.stages.shuffle import (hash_aggregate,
                                                    hash_lookup_join)
 
@@ -176,7 +176,7 @@ def _peel_sharded(graph: Graph, k: int, max_rounds: int | None):
 
     @ray.remote
     def block_vertices(bidx: int, meta, lo: int, hi: int):
-        reader = _DictReader(meta)
+        reader = DictReader(meta)
         dense = np.arange(lo, hi, dtype=np.int64)
         return pa.table({"v": pa.array(dense),
                          "node": pa.array(reader.to_original(dense))})

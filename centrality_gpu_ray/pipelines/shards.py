@@ -624,18 +624,21 @@ class ShardPool:
 
     # -- owner-resident Jones–Plassmann orchestration --------------------
 
-    def jp_setup(self, seed: int, dict_meta, n: int):
-        """One-time JP setup: priority chunks (computed per owner from
-        the sharded vertex dictionary), ONE static priority broadcast
-        into the shards, one full-edge lower-pri-count pass, decision
-        vectors reset. Driver work: O(P) calls."""
+    def jp_setup(self, n: int, pri: np.ndarray | None = None,
+                 seed: int = 0, dict_meta=None):
+        """One-time JP setup: ONE static priority broadcast into the
+        shards, one full-edge lower-pri-count pass, decision vectors
+        reset. ``pri``: the driver's priority vector (dense graphs);
+        without it each owner hashes its range's original ids from the
+        sharded vertex dictionary ``dict_meta`` under ``seed``. Driver
+        work: O(P) calls, plus one ``ray.put`` of ``pri``."""
         import ray
 
         self.setup_owner_ranges(n)
         P = len(self.actors)
-        pri_refs = [a.owner_jp_pri_chunk.remote(seed, dict_meta)
-                    for a in self.actors]
-        pri_full = assemble(pri_refs)
+        pri_full = (ray.put(pri) if pri is not None else assemble(
+            [a.owner_jp_pri_chunk.remote(seed, dict_meta)
+             for a in self.actors]))
         ray.get([a.shard_jp_load_pri.remote(pri_full)
                  for a in self.actors])
         cnt_outs = [a.shard_jp_cnt_init.remote(self.bounds)

@@ -171,14 +171,14 @@ def original_ids_mapper(graph: Graph):
 
         return to_orig
 
-    from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+    from centrality_gpu_ray.nputil import DictReader
 
     meta = (graph.vdict.mins, graph.vdict.offsets, graph.vdict.block_refs)
     reader_box: list = []
 
     def to_orig(dense: np.ndarray) -> np.ndarray:
         if not reader_box:
-            reader_box.append(_DictReader(meta))
+            reader_box.append(DictReader(meta))
         return reader_box[0].to_original(dense.astype(np.int64))
 
     return to_orig

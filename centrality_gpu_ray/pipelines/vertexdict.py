@@ -27,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from centrality_gpu_ray.nputil import DictReader
+
 
 class VertexDict:
     """Range-partitioned sorted vertex dictionary.
@@ -85,46 +87,11 @@ class VertexDict:
         return VertexDict([r for r, _ in keep], mins, offsets)
 
 
-class _DictReader:
-    """Per-worker cached zero-copy views of the dict blocks."""
-
-    def __init__(self, dict_meta):
-        self._mins, self._offsets, self._block_refs = dict_meta
-        self._blocks = None
-
-    def _ensure(self):
-        if self._blocks is None:
-            import ray
-
-            self._blocks = ray.get(list(self._block_refs))
-        return self._blocks
-
-    def to_dense(self, x: np.ndarray) -> np.ndarray:
-        """Original ids → dense 0..n-1 (every id must be present)."""
-        blocks = self._ensure()
-        blk = np.searchsorted(self._mins, x, side="right") - 1
-        out = np.empty(x.size, dtype=np.int64)
-        for b in np.unique(blk):
-            m = blk == b
-            out[m] = self._offsets[b] + np.searchsorted(blocks[b], x[m])
-        return out
-
-    def to_original(self, dense: np.ndarray) -> np.ndarray:
-        """Dense ids → original ids."""
-        blocks = self._ensure()
-        blk = np.searchsorted(self._offsets, dense, side="right") - 1
-        out = np.empty(dense.size, dtype=np.int64)
-        for b in np.unique(blk):
-            m = blk == b
-            out[m] = blocks[b][dense[m] - self._offsets[b]]
-        return out
-
-
 class _RemapSharded:
     """Edge-table callable: (src, dst, weight) → dense (s, d, w)."""
 
     def __init__(self, dict_meta):
-        self._reader = _DictReader(dict_meta)
+        self._reader = DictReader(dict_meta)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         s = self._reader.to_dense(batch.column("src").to_numpy())
@@ -159,7 +126,7 @@ def scores_dataset(vdict: VertexDict, pool, col: str,
 
     @ray.remote
     def emit(lo: int, hi: int, state: np.ndarray, aux, meta):
-        reader = _DictReader(meta)
+        reader = DictReader(meta)
         dense = np.arange(lo, hi, dtype=np.int64)
         vals = state
         if to_original_values:

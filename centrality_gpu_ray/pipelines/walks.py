@@ -54,7 +54,7 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
-from centrality_gpu_ray.functions.sketch import _splitmix
+from centrality_gpu_ray.nputil import splitmix
 from centrality_gpu_ray.pipelines.graph import Graph
 
 __all__ = ["random_walks", "skipgram_pairs"]
@@ -68,31 +68,31 @@ _MAX_REJECT_ROUNDS = 64
 def _choice_r(walk_ids: np.ndarray, step: int, seed: int) -> np.ndarray:
     """One u64 per (walk, step) — independent of partitioning, mode,
     and walk history."""
-    s = _splitmix(np.array([step], dtype=np.uint64) * _STEP_SALT
-                  ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))[0]
-    return _splitmix(walk_ids.astype(np.int64).view(np.uint64) ^ s)
+    s = splitmix(np.array([step], dtype=np.uint64) * _STEP_SALT
+                 ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))[0]
+    return splitmix(walk_ids.astype(np.int64).view(np.uint64) ^ s)
 
 
 def _choice_r2(walk_ids: np.ndarray, step: int, rnd: int,
                seed: int) -> np.ndarray:
     """One u64 per (walk, step, rejection round) — the second-order
     proposal stream; like ``_choice_r``, a pure function of ids."""
-    s = _splitmix(np.array(
+    s = splitmix(np.array(
         [np.uint64(step) * _STEP_SALT
          ^ (np.uint64(rnd) + np.uint64(1)) * _ROUND_SALT
          ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64))[0]
-    return _splitmix(walk_ids.astype(np.int64).view(np.uint64) ^ s)
+    return splitmix(walk_ids.astype(np.int64).view(np.uint64) ^ s)
 
 
 def _accept_u(r1: np.ndarray) -> np.ndarray:
     """Uniform-[0,1) accept stream derived from the proposal stream."""
-    return _splitmix(r1 ^ _ACC_SALT).astype(np.float64) / 2.0**64
+    return splitmix(r1 ^ _ACC_SALT).astype(np.float64) / 2.0**64
 
 
 def _vpart(v: np.ndarray, num_partitions: int) -> np.ndarray:
     """Vertex → partition route; adjacency build and frontier split
     MUST share this function."""
-    return (_splitmix(v.astype(np.int64).view(np.uint64))
+    return (splitmix(v.astype(np.int64).view(np.uint64))
             % np.uint64(num_partitions)).astype(np.int64)
 
 
@@ -303,8 +303,8 @@ def _assemble_walks(rows_ds, walk_length: int, dict_meta, ids_ref,
         if wid.size % L:
             raise AssertionError("random_walks: incomplete walk rows")
         if dict_meta is not None:
-            from centrality_gpu_ray.pipelines.vertexdict import _DictReader
-            orig = _DictReader(dict_meta).to_original(nod)
+            from centrality_gpu_ray.nputil import DictReader
+            orig = DictReader(dict_meta).to_original(nod)
         else:
             orig = ray.get(ids_ref)[nod]
         return _seq_table(wid[::L], orig, walk_length)
@@ -423,7 +423,7 @@ def _distributed_walks(graph: Graph, cfg: EngineConfig, walk_length: int,
 
     # ---- initial frontier: (walk_id, start) chunks pre-split by hash
     if graph.sharded:
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+        from centrality_gpu_ray.nputil import DictReader
         dict_meta = (graph.vdict.mins, graph.vdict.offsets,
                      graph.vdict.block_refs)
         ids_ref = None
@@ -443,7 +443,7 @@ def _distributed_walks(graph: Graph, cfg: EngineConfig, walk_length: int,
         if starts_chunk is None:
             start_dense = np.arange(lo, hi, dtype=np.int64)
         elif dict_meta is not None:
-            start_dense = _DictReader(dict_meta).to_dense(starts_chunk)
+            start_dense = DictReader(dict_meta).to_dense(starts_chunk)
         else:
             ids = ray.get(ids_ref)
             start_dense = np.searchsorted(ids, starts_chunk)
@@ -546,7 +546,7 @@ def _distributed_walks_2nd(graph: Graph, cfg: EngineConfig,
                 for pt in range(P)]
 
     if graph.sharded:
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
+        from centrality_gpu_ray.nputil import DictReader
         dict_meta = (graph.vdict.mins, graph.vdict.offsets,
                      graph.vdict.block_refs)
         ids_ref = None
@@ -567,7 +567,7 @@ def _distributed_walks_2nd(graph: Graph, cfg: EngineConfig,
         if starts_chunk is None:
             start_dense = np.arange(lo, hi, dtype=np.int64)
         elif dict_meta is not None:
-            start_dense = _DictReader(dict_meta).to_dense(starts_chunk)
+            start_dense = DictReader(dict_meta).to_dense(starts_chunk)
         else:
             ids = ray.get(ids_ref)
             start_dense = np.searchsorted(ids, starts_chunk)

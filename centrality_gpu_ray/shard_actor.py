@@ -25,8 +25,9 @@ job on a 1-vCPU host. So:
   (``_pick_labels``, ``_orient``, ``_wedges_from_adj``, ``_mex_compact``)
   live here, and their pipeline modules import them from here.
 
-Only the JP-priority, GNN-sampling and SGNS kernels import pipeline
-modules, lazily, so only those families pay for them.
+Only the GNN-sampling and SGNS kernels import pipeline modules,
+lazily, so only those families pay for them; the JP priority kernel
+reads the vertex dictionary and hashes through ``nputil``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from centrality_gpu_ray.nputil import DictReader, splitmix
 from centrality_gpu_ray.nputil import ragged_arange as _ragged
 
 
@@ -661,36 +663,31 @@ class EdgeShard:
                 float(self.aux.sum()))
 
     # -- owner-resident Jones–Plassmann machinery (MIS + coloring) ---
-    # The dense JP/MIS paths broadcast (mask, pri) and stream all 2m
-    # messages every round. Owner-resident JP instead keeps, per
-    # vertex: a resident counter of UNDECIDED lower-priority
-    # neighbors (ready/winner ⟺ counter hits 0) and — for coloring —
-    # the set of colors already taken by neighbors. Per round only
-    # the newly-decided vertices ship; shards emit decrements (and
-    # color marks) from those vertices' adjacency segments, so total
-    # message volume over ALL rounds is O(m), not O(m·rounds).
-    # Decisions are round-for-round identical to the dense paths:
-    # counter==0 ⟺ pri < min over undecided neighbors, and the
-    # resident color set at decision time equals the dense pair
-    # gather. Priorities are the splitmix64 hash of the original id
-    # (bijective ⇒ strict total order, same order as the dense
-    # path's dense rank), order-preservingly remapped to int64.
+    # Owner-resident JP keeps, per vertex: a resident counter of
+    # UNDECIDED lower-priority neighbors (ready/winner ⟺ counter hits
+    # 0) and — for coloring — the set of colors already taken by
+    # neighbors. Per round only the newly-decided vertices ship;
+    # shards emit decrements (and color marks) from those vertices'
+    # adjacency segments, so total message volume over ALL rounds is
+    # O(m), not O(m·rounds). Decisions are round-for-round identical
+    # to the driver-array loops: counter==0 ⟺ pri < min over
+    # undecided neighbors, and the resident color set at decision
+    # time equals the colored neighborhood. Priorities are the
+    # driver's permutation ranks on dense graphs; sharded graphs
+    # hash the original id with splitmix64 per owner (bijective ⇒
+    # strict total order, the same order as the ranks),
+    # order-preservingly remapped to int64.
 
     def owner_jp_pri_chunk(self, seed: int, dict_meta) -> np.ndarray:
         """This range's priority chunk: splitmix64(original_id ^
         seed) — identical hash to `mis_priorities(scheme=
         "splitmix")`, so the int64-mapped values sort exactly like
-        the dense path's permutation ranks."""
-        from centrality_gpu_ray.functions.sketch import _splitmix
-        from centrality_gpu_ray.pipelines.vertexdict import _DictReader
-
-        orig = _DictReader(dict_meta).to_original(
+        its permutation ranks."""
+        orig = DictReader(dict_meta).to_original(
             np.arange(self.lo, self.hi, dtype=np.int64))
-        h = _splitmix(orig.view(np.uint64)
-                      ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        pri = (h ^ np.uint64(1 << 63)).view(np.int64)
-        self.jp_pri_chunk = pri
-        return pri
+        h = splitmix(orig.view(np.uint64)
+                     ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+        return (h ^ np.uint64(1 << 63)).view(np.int64)
 
     # heap-copy the priority vector below this size: plasma-view
     # random reads were measured ~2.6× slower than heap in hot gather

@@ -7,10 +7,10 @@ import pytest
 import ray.data
 
 from centrality_gpu_ray.config import EngineConfig
-from centrality_gpu_ray.pipelines.coloring import (_mex_per_vertex,
-                                                   greedy_coloring)
+from centrality_gpu_ray.pipelines.coloring import greedy_coloring
 from centrality_gpu_ray.pipelines.graph import Graph
 from centrality_gpu_ray.pipelines.mis import mis_priorities
+from centrality_gpu_ray.shard_actor import _mex_compact
 
 
 def _random_edges(seed: int, n: int = 50, m: int = 200) -> pa.Table:
@@ -58,13 +58,13 @@ def test_mex_unit():
     n = 6
     v = np.array([0, 0, 0, 2, 2, 4], dtype=np.int64)
     c = np.array([0, 1, 3, 1, 1, 0], dtype=np.int64)
-    mex = _mex_per_vertex(v, c, n)
+    mex = _mex_compact(v, c, n, n + 1)
     assert mex[0] == 2       # {0,1,3} -> 2
     assert mex[2] == 0       # {1} -> 0
     assert mex[4] == 1       # {0} -> 1
     assert mex[1] == 0 and mex[5] == 0  # no pairs
-    assert _mex_per_vertex(np.empty(0, np.int64),
-                           np.empty(0, np.int64), 3).tolist() == [0, 0, 0]
+    assert _mex_compact(np.empty(0, np.int64), np.empty(0, np.int64),
+                        3, 4).tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -108,13 +108,15 @@ def test_clique_uses_exactly_k_colors():
     assert sorted(col.values()) == list(range(k))
 
 
-def test_distributed_no_local_finish(monkeypatch):
-    """Force the distributed pair-collect path for EVERY round (the
-    tiny test graphs otherwise localize after round 1)."""
-    import centrality_gpu_ray.pipelines.coloring as col_mod
-
-    monkeypatch.setattr(col_mod, "_LOCAL_FINISH_EDGES", -1)
+def test_distributed_no_local_finish(on_pool):
+    """A dense distributed graph over the driver-kernel edge limit runs
+    the pool loop: equal to local mode in colors and rounds."""
     edges = _random_edges(17)
-    a = _engine(edges, seed=4)
-    b = _engine(edges, seed=4, mode="distributed", parts=3)
+    m_l, m_d = {}, {}
+    a = _engine(edges, seed=4, metrics=m_l)
+    assert on_pool == []
+    b = _engine(edges, seed=4, mode="distributed", parts=3, metrics=m_d)
+    assert len(on_pool) == 1
     assert a == b
+    assert m_l["rounds"] == m_d["rounds"]
+    assert m_l["num_colors"] == m_d["num_colors"]

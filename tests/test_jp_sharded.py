@@ -1,11 +1,12 @@
-"""Owner-resident (sharded) Jones–Plassmann coloring + MIS parity.
+"""Owner-resident Jones–Plassmann coloring + MIS parity.
 
-The sharded path keeps resident counters of undecided lower-priority
+The pool loop keeps resident counters of undecided lower-priority
 neighbors (+ neighbor-color sets for coloring) and ships only the
-newly-decided vertices per round — it must be round-for-round
-bit-identical to the dense paths: splitmix64 priorities are bijective,
-so the shard-side hash order IS the dense permutation-rank order, and
-counter==0 ⟺ the dense ready/winner predicate."""
+newly-decided vertices per round — on a dense distributed graph (fed
+the driver's priority ranks) and on a sharded one (splitmix64 hashed
+per owner: bijective, so the hash order IS the permutation-rank order)
+it must be round-for-round identical to local mode, dtypes included:
+counter==0 ⟺ the driver loop's ready/winner predicate."""
 
 import numpy as np
 import pyarrow as pa
@@ -35,55 +36,75 @@ def _random_edges(seed: int, n: int = 300, m: int = 1200) -> pa.Table:
 
 
 @pytest.fixture(scope="module")
-def pair(ray_session):
+def graphs(ray_session):
     tbl = _random_edges(5)
-    dense = Graph(ray.data.from_arrow(tbl), config=EngineConfig())
+    local = Graph(ray.data.from_arrow(tbl), config=EngineConfig())
+    dense = Graph(ray.data.from_arrow(tbl), config=EngineConfig(),
+                  mode="distributed")
     sharded = Graph(ray.data.from_arrow(tbl),
                     config=EngineConfig(dense_vertex_limit=50))
-    assert not dense.sharded and sharded.sharded
-    return dense, sharded
+    assert local.mode == "local"
+    assert dense.mode == "distributed" and not dense.sharded
+    assert sharded.sharded
+    return local, dense, sharded
+
+
+@pytest.fixture
+def pair(graphs, on_pool):
+    """(local graph, [dense pool graph, sharded graph], pools that ran
+    ``jp_setup``): the dense distributed graph is forced off the
+    driver arrays onto the pool."""
+    local, dense, sharded = graphs
+    return local, [dense, sharded], on_pool
+
+
+def _same_as_local(pair, graph, op, cols, **kw):
+    local, _, pools = pair
+    ml, mp = {}, {}
+    a = op(local, metrics=ml, **kw).to_pandas()
+    assert pools == []
+    b = op(graph, metrics=mp, **kw).to_pandas()
+    assert pools == [graph.pool]
+    assert mp["mode"] == ("sharded" if graph.sharded else "distributed")
+    assert {k: v for k, v in mp.items() if k not in ("mode", "sec")} \
+        == {k: v for k, v in ml.items() if k not in ("mode", "sec")}
+    assert list(b.dtypes) == list(a.dtypes)
+    merged = a.merge(b, on="node", suffixes=("_l", "_p"))
+    assert len(merged) == local.num_vertices
+    for c in cols:
+        assert (merged[f"{c}_l"] == merged[f"{c}_p"]).all()
+    pools.clear()
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_sharded_coloring_matches_dense(pair, seed):
-    dense, sharded = pair
-    md, ms = {}, {}
-    a = greedy_coloring(dense, seed=seed, metrics=md).to_pandas()
-    b = greedy_coloring(sharded, seed=seed, metrics=ms).to_pandas()
-    assert ms["mode"] == "sharded"
-    assert ms["rounds"] == md["rounds"]
-    assert ms["num_colors"] == md["num_colors"]
-    merged = a.merge(b, on="node", suffixes=("_d", "_s"))
-    assert len(merged) == dense.num_vertices
-    assert (merged["color_d"] == merged["color_s"]).all()
-    assert (merged["color_round_d"] == merged["color_round_s"]).all()
+    for g in pair[1]:
+        _same_as_local(pair, g, greedy_coloring, ["color", "color_round"],
+                       seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_sharded_mis_matches_dense(pair, seed):
-    dense, sharded = pair
-    md, ms = {}, {}
-    a = maximal_independent_set(dense, seed=seed, metrics=md).to_pandas()
-    b = maximal_independent_set(sharded, seed=seed,
-                                metrics=ms).to_pandas()
-    assert ms["mode"] == "sharded"
-    assert ms["rounds"] == md["rounds"]
-    assert ms["mis_size"] == md["mis_size"]
-    merged = a.merge(b, on="node", suffixes=("_d", "_s"))
-    assert len(merged) == dense.num_vertices
-    assert (merged["in_mis_d"] == merged["in_mis_s"]).all()
-    assert (merged["mis_round_d"] == merged["mis_round_s"]).all()
+    for g in pair[1]:
+        _same_as_local(pair, g, maximal_independent_set,
+                       ["in_mis", "mis_round"], seed=seed)
+
+
+def test_dense_pool_mis_sha256_matches_local(pair):
+    _same_as_local(pair, pair[1][0], maximal_independent_set,
+                   ["in_mis", "mis_round"], seed=2,
+                   priority_scheme="sha256")
 
 
 def test_sharded_mis_rejects_sha256_scheme(pair):
-    _, sharded = pair
+    _, (_, sharded), _ = pair
     with pytest.raises(ValueError, match="splitmix"):
         maximal_independent_set(sharded, priority_scheme="sha256")
 
 
 def test_sharded_coloring_proper(pair):
     # distributed properness: no edge with equal endpoint colors
-    _, sharded = pair
+    _, (_, sharded), _ = pair
     colors = greedy_coloring(sharded, seed=1).to_pandas()
     cmap = dict(zip(colors["node"], colors["color"]))
     edges = sharded.canonical_edges().to_pandas()

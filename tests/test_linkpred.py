@@ -126,7 +126,7 @@ def test_max_center_degree_drops_hub_whole():
 def _naive_training_set(edges: pa.Table, neg_per_pos: int, seed: int):
     """Independent per-edge Python reference of the corrupted-endpoint
     negative sampler (shares only the rng helper)."""
-    from centrality_gpu_ray.functions.sketch import _splitmix
+    from centrality_gpu_ray.nputil import splitmix
     from centrality_gpu_ray.pipelines.linkpred import _NEG_SALT
 
     src = edges.column("src").to_numpy()
@@ -143,9 +143,9 @@ def _naive_training_set(edges: pa.Table, neg_per_pos: int, seed: int):
     for a, b in zip(np.minimum(es, ed), np.maximum(es, ed)):
         key = np.array([a * n + b], dtype=np.int64).view(np.uint64)
         for j in range(1, neg_per_pos + 1):
-            salt = _splitmix(np.array([j], dtype=np.uint64) * _NEG_SALT
-                             ^ np.uint64(seed))[0]
-            v2 = int((_splitmix(key ^ salt) % np.uint64(n))[0])
+            salt = splitmix(np.array([j], dtype=np.uint64) * _NEG_SALT
+                            ^ np.uint64(seed))[0]
+            v2 = int((splitmix(key ^ salt) % np.uint64(n))[0])
             if v2 == a:
                 continue
             pair = (min(a, v2), max(a, v2))

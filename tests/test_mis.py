@@ -136,12 +136,15 @@ def test_seed_changes_set():
     assert a != b
 
 
-def test_distributed_no_local_finish(monkeypatch):
-    """Force the distributed gathers for EVERY round."""
-    import centrality_gpu_ray.pipelines.mis as mis_mod
-
-    monkeypatch.setattr(mis_mod, "_LOCAL_FINISH_EDGES", -1)
+def test_distributed_no_local_finish(on_pool):
+    """A dense distributed graph over the driver-kernel edge limit runs
+    the pool loop: equal to local mode in values and rounds."""
     edges = _random_edges(29)
-    a = _engine_mis(edges, seed=3)
-    b = _engine_mis(edges, seed=3, mode="distributed", parts=3)
+    m_l, m_d = {}, {}
+    a = _engine_mis(edges, seed=3, metrics=m_l)
+    assert on_pool == []
+    b = _engine_mis(edges, seed=3, mode="distributed", parts=3,
+                    metrics=m_d)
+    assert len(on_pool) == 1
     assert a == b
+    assert m_l["rounds"] == m_d["rounds"]

@@ -183,11 +183,11 @@ def test_stratified_sample_partitioning_invariant():
 
 def _es_serial(ids, w, k, seed):
     """Serial oracle: identical key derivation, global top-k."""
-    from centrality_gpu_ray.functions.sketch import _splitmix
+    from centrality_gpu_ray.nputil import splitmix
 
-    salt = _splitmix(np.array([seed], dtype=np.uint64) ^
-                     np.uint64(0x9E3779B97F4A7C15))[0]
-    h = _splitmix(ids.astype(np.int64).view(np.uint64) ^ salt)
+    salt = splitmix(np.array([seed], dtype=np.uint64) ^
+                    np.uint64(0x9E3779B97F4A7C15))[0]
+    h = splitmix(ids.astype(np.int64).view(np.uint64) ^ salt)
     u = ((h >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
     with np.errstate(divide="ignore", invalid="ignore"):
         key = np.log(u) / w

@@ -79,10 +79,7 @@ def test_jp_local_rounds_vs_sequential_greedy(edge_list, rnd):
     perm = list(range(n))
     rnd.shuffle(perm)
     pri = np.array(perm, dtype=np.float64)
-    colors = np.full(n, -1, dtype=np.int64)
-    rounds = np.zeros(n, dtype=np.int64)
-    z = np.empty(0, dtype=np.int64)
-    _jp_local_rounds(s, d, n, pri, colors, rounds, 0, z, z, cap=n + 1)
+    colors, rounds = _jp_local_rounds(s, d, pri, cap=n + 1)
     # oracle: sequential greedy in priority order
     nbrs = [set() for _ in range(n)]
     for a, b in edges:

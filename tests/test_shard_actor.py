@@ -14,6 +14,8 @@ import time
 import numpy as np
 import pyarrow.parquet as pq
 
+from centrality_gpu_ray.pipelines.coloring import _jp_local_rounds
+from centrality_gpu_ray.pipelines.mis import _mis_rounds, mis_priorities
 from centrality_gpu_ray.shard_actor import EdgeShard
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -91,6 +93,58 @@ _GUARD = textwrap.dedent("""
         a.owner_tri_fold(i, *c_outs)
     tri = np.concatenate([a.owner_get_state() for a in sh])
 
+    # Jones-Plassmann: per-owner splitmix priorities read through a
+    # vertex dictionary, then MIS and coloring rounds. Without a Ray
+    # session the dictionary blocks are plain arrays, so the reader's
+    # object-store fetch returns them as they are.
+    import ray
+
+    ray.get = lambda blocks: blocks
+    orig = 7 * np.arange(n, dtype=np.int64) + 3
+    meta = (orig[[0, n // 2]], np.array([0, n // 2, n]),
+            [orig[:n // 2], orig[n // 2:]])
+    pri = np.concatenate([a.owner_jp_pri_chunk(1, meta) for a in sh])
+
+    def jp_setup():
+        for a in sh:
+            a.shard_jp_load_pri(pri)
+        outs = [a.shard_jp_cnt_init(bounds) for a in sh]
+        for i, a in enumerate(sh):
+            a.owner_jp_state_init(n, i, *outs)
+
+    def jp_result():
+        for a in sh:
+            a.owner_jp_finalize()
+        return (np.concatenate([a.owner_get_state() for a in sh]).tolist(),
+                np.concatenate([a.owner_get_aux() for a in sh]).tolist())
+
+    jp_setup()
+    win = np.concatenate([a.owner_mis_first() for a in sh])
+    rnd = 1
+    while True:
+        outs = [a.shard_nbr_ids(bounds, win) for a in sh]
+        exc = np.concatenate([a.owner_mis_exclude(i, rnd, *outs)
+                              for i, a in enumerate(sh)])
+        if win.size + exc.size == 0:
+            break
+        rnd += 1
+        dec = np.sort(np.concatenate([win, exc]))
+        outs = [a.shard_mis_dec(bounds, dec) for a in sh]
+        win = np.concatenate([a.owner_mis_apply(i, rnd, *outs)
+                              for i, a in enumerate(sh)])
+    mis = jp_result()
+
+    jp_setup()
+    parts = [a.owner_jp_color_first() for a in sh]
+    rnd = 1
+    while sum(p[0].size for p in parts):
+        rnd += 1
+        pair = tuple(np.concatenate(c) for c in zip(*parts))
+        outs = [a.shard_jp_color_delta(bounds, pair) for a in sh]
+        parts = [a.owner_jp_color_apply(i, rnd, *outs)
+                 for i, a in enumerate(sh)]
+    color = jp_result()
+
     heavy = sorted(m for m in sys.modules
                    if m.split(".")[0] == "pandas"
                    or m == "ray.data" or m.startswith("ray.data.")
@@ -98,14 +152,16 @@ _GUARD = textwrap.dedent("""
                                     "centrality_gpu_ray.functions",
                                     "centrality_gpu_ray.stages")))
     print(json.dumps({"heavy": heavy, "pr": pr.tolist(), "lp": lp.tolist(),
-                      "tri": tri.tolist(), "rows": rows}))
+                      "tri": tri.tolist(), "rows": rows, "mis": mis,
+                      "color": color}))
 """)
 
 
 def test_shard_actor_imports_no_engine_pandas_or_ray_data(tmp_path):
-    """Run PageRank, LP, triangle and checkpoint-write kernels on the
-    plain class in a fresh interpreter; it must load no pandas, Ray
-    Data or engine pipeline module. (Checked outside Ray on purpose: a
+    """Run PageRank, LP, triangle, checkpoint-write and Jones–Plassmann
+    (priority chunk, MIS, coloring) kernels on the plain class in a
+    fresh interpreter; it must load no pandas, Ray Data or engine
+    pipeline module. (Checked outside Ray on purpose: a
     live actor may be handed a worker that already loaded them.)"""
     n, s, d = _edges()
     out = subprocess.run(
@@ -131,6 +187,16 @@ def test_shard_actor_imports_no_engine_pandas_or_ray_data(tmp_path):
     tri = np.diag(adj @ adj @ adj) // 2
     assert [int(x) for x in got["tri"]] == tri.tolist()
     assert tri.sum() > 0
+    # JP: the driver loops over the same priorities (original ids
+    # 7i + 3, seed 1) give the same statuses, colors and rounds
+    pri = mis_priorities(7 * np.arange(n, dtype=np.int64) + 3, 1)
+    in_mis, mis_round = _mis_rounds(s, d, pri.astype(np.float64), n)
+    assert got["mis"] == [in_mis.astype(float).tolist(),
+                          mis_round.astype(float).tolist()]
+    colors, color_round = _jp_local_rounds(s, d, pri.astype(np.float64), n)
+    assert got["color"] == [colors.astype(float).tolist(),
+                            color_round.astype(float).tolist()]
+    assert max(mis_round) > 1 and max(color_round) > 1
 
 
 def _owner(lo: int, hi: int) -> EdgeShard:
