@@ -43,7 +43,8 @@ and how scores go out, never which superstep loop runs. Up to
 driver and owner state comes back as a ``pa.Table``; beyond it the
 vertex dictionary itself is sharded (``pipelines/vertexdict.py``) and
 results come back as Datasets built from the owners' chunks
-(:meth:`Graph.dense_index`, :meth:`Graph.owner_scores`).
+(:meth:`Graph.dense_index`, :meth:`Graph.owner_scores`,
+:meth:`Graph.owner_edges`).
 """
 
 from __future__ import annotations
@@ -279,12 +280,45 @@ class Graph:
             aux = aux.astype(aux_cast)
         return out.append_column(aux_col, pa.array(aux))
 
+    def owner_edges(self, parts: list, col: str | None = None):
+        """Refs to per-actor dense-id edge parts ``(s, d[, values])`` →
+        ``(src, dst[, col])`` rows in original ids: a ``pa.Table`` on
+        dense graphs, a Dataset on sharded ones (one task per part,
+        mapping ids through the vertex dictionary)."""
+        import ray
+
+        if not self.sharded:
+            return _edge_table([np.concatenate(c)
+                                for c in zip(*ray.get(parts))],
+                               self.node_ids.__getitem__, col)
+        import ray.data
+
+        from centrality_gpu_ray.pipelines.bicc_sharded import _OrigMapper
+
+        @ray.remote
+        def emit(part, meta):
+            return _edge_table(part, _OrigMapper(("vdict", meta)), col)
+
+        meta = (self.vdict.mins, self.vdict.offsets, self.vdict.block_refs)
+        return ray.data.from_arrow_refs([emit.remote(p, meta)
+                                         for p in parts])
+
     def scores_table(self, values: np.ndarray, col: str) -> pa.Table:
         """Dense result vector → (node, col) table in original ids."""
         return pa.table({
             "node": pa.array(self.node_ids, type=pa.int64()),
             col: pa.array(values),
         })
+
+
+def _edge_table(part, to_orig, col: str | None) -> pa.Table:
+    """Dense ``(s, d[, values])`` arrays → ``(src, dst[, col])`` in
+    original ids."""
+    cols = {"src": pa.array(to_orig(part[0]), type=pa.int64()),
+            "dst": pa.array(to_orig(part[1]), type=pa.int64())}
+    if col is not None:
+        cols[col] = pa.array(part[2])
+    return pa.table(cols)
 
 
 def _to_canonical(batch: pa.Table) -> pa.Table:

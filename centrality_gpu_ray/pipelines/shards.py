@@ -36,9 +36,10 @@ object-store copy per node. This is precisely SURVEY.md §7.3's
 Kernels run against the resident layout as owner exchanges:
 PageRank/PPR/Katz/eigenvector (``pr_step`` family), CC/SSSP/BFS
 (min-combine steps), change-driven LP, Jones–Plassmann MIS/coloring,
-sampled and weighted Brandes, sharded BiCC, and triangle counting
-(``triangle_pass``: degree chunks → oriented edges by apex → wedges
-by the holder of their closing edge → corner credits by vertex owner).
+sampled and weighted Brandes and sharded BiCC. The triangle family
+(triangles, edge support, k-truss) and the k-core peel drive the
+actors from their own modules (``triangles.py``, ``truss.py``,
+``peel.py``).
 """
 
 from __future__ import annotations
@@ -169,6 +170,14 @@ class ShardPool:
 
     # -- owner-mode orchestration (no O(n) driver work per superstep) ----
 
+    def split(self, n: int) -> np.ndarray:
+        """The owners' [lo, hi) split of ``n`` dense ids,
+        ``bounds[p] = n·p // P``, recorded as the pool's current one."""
+        P = len(self.actors)
+        self.bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
+        self.n = n
+        return self.bounds
+
     def setup_owners(self, n: int, weighted: bool = False):
         """Owner init: bind each actor's [lo, hi) range, assemble its
         degree (``weighted``: strength) chunk from the shards' resident
@@ -177,8 +186,7 @@ class ShardPool:
         memory); tiled shards fold their replicas into the partials."""
         import ray
 
-        P = len(self.actors)
-        bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
+        bounds = self.split(n)
         deg_outs = [a.degree_partials.remote(bounds, weighted)
                     for a in self.actors]
         ray.get([
@@ -186,8 +194,6 @@ class ShardPool:
                                            bounds, n, i, *deg_outs)
             for i, a in enumerate(self.actors)
         ])
-        self.bounds = bounds
-        self.n = n
 
     setup_owners_sharded = setup_owners
 
@@ -533,51 +539,14 @@ class ShardPool:
         ]
         return int(sum(ray.get(changed_refs)))
 
-    def triangle_pass(self, n: int) -> tuple:
-        """Exact per-vertex triangle counts into the owners' state (and
-        local clustering into their aux) in four owner-routed rounds:
-        degree chunks → oriented edges by apex → wedges by the holder
-        of their closing edge → corner credits by vertex owner. No Ray
-        Data execution; the driver routes refs and sums 5P scalars.
-        Returns (wedges tested, wedges matched, Σtriangles,
-        Σ C(deg, 2), Σclustering)."""
-        import ray
-
-        if not self._frontier_capable:
-            raise ValueError(
-                "triangle_pass needs a pool holding one copy of each edge, "
-                "not a state-only pool or a same-vertex tiled one "
-                "(replicas > 1, stride == 0)")
-        P = len(self.actors)
-        bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
-        deg_outs = [a.degree_partials.remote(bounds) for a in self.actors]
-        deg_full = assemble([
-            a.owner_tri_degree.remote(int(bounds[p]), int(bounds[p + 1]), p,
-                                      *deg_outs)
-            for p, a in enumerate(self.actors)])
-        edge_outs = [a.shard_tri_orient.remote(P, deg_full)
-                     for a in self.actors]
-        wedge_outs = [a.owner_tri_wedges.remote(n, deg_full, p, *edge_outs)
-                      for p, a in enumerate(self.actors)]
-        credit_outs = [a.owner_tri_match.remote(n, bounds, p, *wedge_outs)
-                       for p, a in enumerate(self.actors)]
-        parts = ray.get([a.owner_tri_fold.remote(p, *credit_outs)
-                         for p, a in enumerate(self.actors)])
-        self.bounds = bounds
-        self.n = n
-        return tuple(map(sum, zip(*parts)))
-
     def setup_owner_ranges(self, n: int):
         """Minimal owner init: just the [lo, hi) range split — no degree
         pass, no numeric init vector (LP needs neither)."""
         import ray
 
-        P = len(self.actors)
-        bounds = (n * np.arange(P + 1, dtype=np.int64)) // P
+        bounds = self.split(n)
         ray.get([a.owner_set_range.remote(int(bounds[i]), int(bounds[i + 1]))
                  for i, a in enumerate(self.actors)])
-        self.bounds = bounds
-        self.n = n
 
     def lp_init_resident(self, weighted: bool = True):
         """Change-driven LP superstep 0: ONE full-count gather builds

@@ -10,13 +10,14 @@ reference approximates with its BCC/ear cascade.
 
 Scale shape: the triangle orientation uses the ORIGINAL (degree, id)
 total order throughout — correctness of once-per-triangle counting
-needs only a fixed total order, so per-round degree recomputation (a
-shuffle) is avoided. Per round: one apex-hash wedge generation + one
-packed-key semi-join + one count aggregate over the *surviving* edges
-(the set shrinks monotonically), all via the explicit hash-shuffle
-primitives; the driver sees only O(1) scalars per round (the doomed
-count). Output: ``(src, dst, round_removed)`` with −1 for edges in the
-k-truss, mirroring the k-core query shape.
+needs only a fixed total order, so per-round degree recomputation is
+avoided. Local graphs run the rounds in numpy. Pool graphs run
+``edge_support``'s shard-pool rounds once, then per round re-run
+wedges, closing-edge match and edge credits over the out-edges each
+actor still keeps (the set shrinks monotonically); an actor drops its
+doomed edges into a resident removal log, and the driver sees only P
+doomed counts per round. Output: ``(src, dst, round_removed)`` with −1
+for edges in the k-truss, mirroring the k-core query shape.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
 from centrality_gpu_ray.pipelines.graph import Graph
-from centrality_gpu_ray.pipelines.triangles import _orient, _pack, _wedges_from_adj  # noqa: F401
+from centrality_gpu_ray.pipelines.triangles import (_pack, _support_round,
+                                                    _wedge_rounds)
+from centrality_gpu_ray.shard_actor import _orient, _wedges_from_adj
 
 
 def _support_for_alive(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,13 +53,15 @@ def _support_for_alive(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray
 def ktruss(graph: Graph, k: int = 4, config: EngineConfig | None = None,
            metrics: dict | None = None):
     """Returns ``(src, dst, round_removed)`` per canonical edge
-    (original ids); −1 = the edge survives in the k-truss."""
+    (original ids); −1 = the edge survives in the k-truss. At most
+    ``max_supersteps`` rounds remove edges. A ``pa.Table`` on dense
+    graphs, a Dataset on sharded ones."""
     cfg = config or graph.config
     t0 = time.perf_counter()
     n = graph.num_vertices
     thresh = k - 2
 
-    if not getattr(graph, "sharded", False) and graph.mode == "local":
+    if graph.mode == "local":
         deg = graph.out_degree
         s, d, _ = graph.local_arrays()
         a, b = _orient(s, d, deg)
@@ -78,88 +83,29 @@ def ktruss(graph: Graph, k: int = 4, config: EngineConfig | None = None,
             round_removed[doomed_idx] = rounds
             alive[doomed_idx] = False
             rounds += 1
-        if metrics is not None:
-            metrics.update({"sec": time.perf_counter() - t0, "rounds": rounds,
-                            "in_truss": int(alive.sum()), "mode": "local"})
-        return pa.table({
+        in_truss = int(alive.sum())
+        out = pa.table({
             "src": pa.array(graph.node_ids[s], type=pa.int64()),
             "dst": pa.array(graph.node_ids[d], type=pa.int64()),
             "round_removed": pa.array(round_removed),
         })
-
-    return _ktruss_distributed(graph, thresh, cfg, t0, metrics)
-
-
-def _ktruss_distributed(graph: Graph, thresh: int, cfg: EngineConfig,
-                        t0: float, metrics: dict | None):
-    """Dataset-shaped rounds: edges stay distributed; per round one
-    wedge shuffle + one support aggregate + a filter; doomed edges are
-    unioned into the result lazily. Driver work per round: two scalar
-    counts."""
-    from centrality_gpu_ray.pipelines.triangles import (_support_counts_ds,
-                                                        original_ids_mapper,
-                                                        oriented_edges_ds)
-    from centrality_gpu_ray.stages.shuffle import hash_lookup_join
-
-    n = graph.num_vertices
-    P = cfg.num_partitions
-    to_orig = original_ids_mapper(graph)
-
-    cur = oriented_edges_ds(graph, cfg)
-    doomed_parts: list = []
-    rounds = 0
-    while rounds < cfg.max_supersteps:
-        sup = _support_counts_ds(cur, n, cfg)
-        with_sup = hash_lookup_join(cur.map_batches(
-            lambda t: pa.table({"key": pa.array(
-                _pack(t.column("a").to_numpy(), t.column("b").to_numpy(), n)),
-                "a": t.column("a"), "b": t.column("b")}),
-            batch_format="pyarrow"), sup, "key", "key", {"c": "sup"},
-            num_partitions=P, outer_fill={"sup": 0}).materialize()
-
-        r = rounds  # bind per-round constant for the closure
-
-        def split_doomed(t: pa.Table, _r=r) -> pa.Table:
-            supv = t.column("sup").to_numpy(zero_copy_only=False)
-            mask = pa.array(supv < thresh)
-            doomed = t.filter(mask)
-            return pa.table({"a": doomed.column("a"), "b": doomed.column("b"),
-                             "round_removed": pa.array(
-                                 np.full(doomed.num_rows, _r, dtype=np.int64))})
-
-        doomed_ds = with_sup.map_batches(split_doomed,
-                                         batch_format="pyarrow").materialize()
-        n_doomed = doomed_ds.count()
-        if n_doomed == 0:
-            break
-        doomed_parts.append(doomed_ds)
-        cur = with_sup.map_batches(
-            lambda t: t.filter(pa.array(
-                t.column("sup").to_numpy(zero_copy_only=False) >= thresh))
-            .select(["a", "b"]),
-            batch_format="pyarrow").materialize()
-        rounds += 1
-
-    survivors = cur.map_batches(
-        lambda t: pa.table({"a": t.column("a"), "b": t.column("b"),
-                            "round_removed": pa.array(
-                                np.full(t.num_rows, -1, dtype=np.int64))}),
-        batch_format="pyarrow")
-    out = survivors
-    for part in doomed_parts:
-        out = out.union(part)
-
-    def finish(t: pa.Table, _to_orig=to_orig) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False)
-        b = t.column("b").to_numpy(zero_copy_only=False)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return pa.table({"src": pa.array(_to_orig(lo), type=pa.int64()),
-                         "dst": pa.array(_to_orig(hi), type=pa.int64()),
-                         "round_removed": t.column("round_removed")})
-
-    out = out.map_batches(finish, batch_format="pyarrow")
+    else:
+        pool = graph.pool
+        P = len(pool.actors)
+        wedge_outs = _wedge_rounds(pool, n)
+        rounds, in_truss = 0, graph.num_edges
+        while rounds < cfg.max_supersteps:
+            if rounds:
+                wedge_outs = [a.owner_sup_wedges.remote(n, P)
+                              for a in pool.actors]
+            doomed = _support_round(pool, n, wedge_outs, thresh, rounds)
+            if doomed == 0:
+                break
+            in_truss -= doomed
+            rounds += 1
+        out = graph.owner_edges([a.owner_sup_rows.remote(n, True)
+                                 for a in pool.actors], "round_removed")
     if metrics is not None:
         metrics.update({"sec": time.perf_counter() - t0, "rounds": rounds,
-                        "mode": graph.mode})
+                        "in_truss": in_truss, "mode": graph.mode})
     return out

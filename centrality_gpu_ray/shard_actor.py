@@ -242,6 +242,84 @@ def _route(dest: np.ndarray, P: int, *cols):
                  for i in range(P))
 
 
+def _split_sorted(bounds: np.ndarray, ids: np.ndarray, *cols):
+    """Sorted ``ids`` and their parallel ``cols`` → one tuple of slices
+    per owner range of ``bounds``."""
+    cuts = np.searchsorted(ids, bounds)
+    return tuple(tuple(c[cuts[i]:cuts[i + 1]] for c in (ids, *cols))
+                 for i in range(len(bounds) - 1))
+
+
+def _fold_partials(lo: int, hi: int, my_idx: int, outs,
+                   dtype=np.int64) -> np.ndarray:
+    """Owner ``my_idx``'s [lo, hi) chunk summed from the shards' range
+    partials ``(ids, values)``; ids are unique within one partial."""
+    acc = np.zeros(hi - lo, dtype=dtype)
+    for out in outs:
+        ids, vals = out[my_idx]
+        acc[ids - lo] += vals.astype(dtype, copy=False)
+    return acc
+
+
+# -- triangle-family and k-core kernels (layouts: see ``EdgeShard``) --------
+
+def _wedge_msgs(a: np.ndarray, b: np.ndarray, deg: np.ndarray, n: int,
+                P: int):
+    """The wedges of oriented edges ``a → b``: each as its apex and
+    packed closing key ``low·n + high``, routed to the hash owner of
+    ``low``."""
+    # heads keyed by rank deg·n + id: each apex's pairs then come out
+    # rank-ordered, so the first vertex of a pair is its lower endpoint
+    apex, x, y = _wedges_from_adj(a, deg[b] * n + b)
+    low = x % n
+    return _route(_hash_owner(low, P), P, apex, low * n + y % n)
+
+
+def _closing_hits(keys: np.ndarray, key: np.ndarray):
+    """Position of each closing key in the sorted out-edge ``keys``,
+    and whether it is there."""
+    if keys.size == 0:
+        return (np.zeros(key.size, dtype=np.int64),
+                np.zeros(key.size, dtype=bool))
+    idx = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    return idx, keys[idx] == key
+
+
+def _support_match(keys: np.ndarray, apex: np.ndarray, key: np.ndarray,
+                   n: int, P: int):
+    """Each wedge closed by one of the out-edges ``keys`` credits that
+    edge (the returned support vector) and its edges ``apex→low`` and
+    ``apex→high`` (keys routed to the apex's hash owner)."""
+    idx, hit = _closing_hits(keys, key)
+    apex, key = apex[hit], key[hit]
+    side = np.concatenate([apex * n + key // n, apex * n + key % n])
+    return (np.bincount(idx[hit], minlength=keys.size),
+            _route(_hash_owner(np.concatenate([apex, apex]), P), P, side))
+
+
+def _edge_rows(keys: np.ndarray, vals: np.ndarray, n: int):
+    """Packed oriented keys → canonical dense ``(src, dst, vals)``."""
+    a, b = keys // n, keys % n
+    return np.minimum(a, b), np.maximum(a, b), vals.astype(np.int64)
+
+
+def _core_peel(cnt: np.ndarray, rounds: np.ndarray, k: int, rnd: int,
+               decs: list, lo: int) -> np.ndarray:
+    """One k-core round on an owner chunk, in place: subtract the
+    ``(ids, counts)`` degree decrements, then give round ``rnd`` to the
+    not-yet-removed vertices they touched (round 0: every vertex) whose
+    degree is in (0, k). Returns those vertices' chunk offsets."""
+    if rnd == 0:
+        cand = np.arange(cnt.size)
+    else:
+        ids = np.concatenate([ids for ids, _ in decs]) - lo
+        np.add.at(cnt, ids, -np.concatenate([c for _, c in decs]))
+        cand = np.unique(ids)
+    peel = cand[(cnt[cand] > 0) & (cnt[cand] < k) & (rounds[cand] < 0)]
+    rounds[peel] = rnd
+    return peel
+
+
 # -- the actor ----------------------------------------------------------------
 
 class EdgeShard:
@@ -361,10 +439,7 @@ class EdgeShard:
         shards' partials, derive inv_deg locally, uniform-init the
         state. The driver never holds an O(n) vector."""
         self.lo, self.hi = lo, hi
-        deg = np.zeros(hi - lo, dtype=np.float64)
-        for out in deg_outs:
-            uniq_v, vals = out[my_idx]
-            deg[uniq_v - lo] += vals
+        deg = _fold_partials(lo, hi, my_idx, deg_outs, np.float64)
         inv = np.zeros(hi - lo, dtype=np.float64)
         nz = deg > 0
         inv[nz] = 1.0 / deg[nz]
@@ -577,7 +652,7 @@ class EdgeShard:
         self.lo, self.hi = lo, hi
         return True
 
-    # -- owner-routed triangle counting ------------------------------
+    # -- owner-routed triangle counting, edge support and k-truss ----
     # Degree-ordered orientation (each edge kept once as apex →
     # higher-(deg, id) neighbour) gives every triangle exactly one
     # wedge, at its lowest-ranked vertex, whose closing edge is an
@@ -588,6 +663,8 @@ class EdgeShard:
     # wedges are placed by a hash of the vertex (a skewed graph's
     # apexes and wedge endpoints cluster in a few id ranges); only
     # the final credits go to the range owners that hold the state.
+    # Edge support and k-truss keep the out-edge keys resident and
+    # credit edges instead of corners.
 
     def owner_tri_degree(self, lo: int, hi: int, my_idx: int,
                          *deg_outs) -> np.ndarray:
@@ -595,12 +672,8 @@ class EdgeShard:
         chunk from the shards' ``degree_partials`` (kept for the
         clustering denominators)."""
         self.lo, self.hi = lo, hi
-        deg = np.zeros(hi - lo, dtype=np.int64)
-        for out in deg_outs:
-            uniq_v, vals = out[my_idx]
-            deg[uniq_v - lo] += vals.astype(np.int64)
-        self.tri_deg = deg
-        return deg
+        self.tri_deg = _fold_partials(lo, hi, my_idx, deg_outs)
+        return self.tri_deg
 
     def shard_tri_orient(self, P: int, deg: np.ndarray):
         """Round 2: this slice's edges oriented by (deg, id), each
@@ -612,19 +685,15 @@ class EdgeShard:
 
     def owner_tri_wedges(self, n: int, deg: np.ndarray, my_idx: int,
                          *edge_outs):
-        """Round 3: wedges of the apexes hashed here, as packed
-        closing keys ``low·n + high``, each routed to the hash owner
-        of its lower-ranked endpoint ``low``; keeps the sorted
-        packed out-edge keys ``apex·n + nbr`` for round 4."""
+        """Round 3: wedges of the apexes hashed here (``_wedge_msgs``).
+        Keeps the sorted packed out-edge keys ``apex·n + nbr``, the
+        assembled degree vector (a zero-copy view) and an empty k-truss
+        removal log."""
         a = np.concatenate([out[my_idx][0] for out in edge_outs])
         b = np.concatenate([out[my_idx][1] for out in edge_outs])
         self.tri_keys = np.sort(a * n + b)
-        # neighbours keyed by rank deg·n + id: each apex's pairs then
-        # come out rank-ordered, so the first is the lower endpoint
-        apex, x, y = _wedges_from_adj(a, deg[b] * n + b)
-        low = x % n
-        P = len(edge_outs)
-        return _route(_hash_owner(low, P), P, apex, low * n + y % n)
+        self.tri_deg_full, self.tri_gone = deg, []
+        return _wedge_msgs(a, b, deg, n, len(edge_outs))
 
     def owner_tri_match(self, n: int, bounds: np.ndarray, my_idx: int,
                         *wedge_outs):
@@ -633,11 +702,8 @@ class EdgeShard:
         by the corner's range owner. Drops the key set."""
         apex = np.concatenate([out[my_idx][0] for out in wedge_outs])
         key = np.concatenate([out[my_idx][1] for out in wedge_outs])
-        keys, self.tri_keys = self.tri_keys, None
-        hit = np.zeros(key.size, dtype=bool)
-        if keys.size:
-            idx = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-            hit = keys[idx] == key
+        _, hit = _closing_hits(self.tri_keys, key)
+        self.tri_keys = self.tri_deg_full = self.tri_gone = None
         self.tri_msgs = (int(key.size), int(hit.sum()))
         k = key[hit]
         ids, cnt = np.unique(np.concatenate([apex[hit], k // n, k % n]),
@@ -661,6 +727,97 @@ class EdgeShard:
                              where=pairs > 0)
         return (*msgs, float(tri.sum()), float(pairs.sum()),
                 float(self.aux.sum()))
+
+    def owner_sup_wedges(self, n: int, P: int):
+        """Round 3 again, over the out-edges still in the truss."""
+        keys = self.tri_keys
+        return _wedge_msgs(keys // n, keys % n, self.tri_deg_full, n, P)
+
+    def owner_sup_match(self, n: int, my_idx: int, *wedge_outs):
+        """Support round 4: credit the closing edges kept here; route
+        the two apex-edge credits of each matched wedge."""
+        apex = np.concatenate([out[my_idx][0] for out in wedge_outs])
+        key = np.concatenate([out[my_idx][1] for out in wedge_outs])
+        self.tri_sup, credits = _support_match(self.tri_keys, apex, key,
+                                               n, len(wedge_outs))
+        return credits
+
+    def owner_sup_fold(self, thresh: int, rnd: int, my_idx: int,
+                       *credit_outs) -> int:
+        """Support round 5: add the routed apex-edge credits, then
+        remove the edges whose support is below ``thresh`` from the
+        kept keys into the removal log under round ``rnd``; returns
+        how many were removed."""
+        keys = self.tri_keys
+        cred = np.concatenate([out[my_idx][0] for out in credit_outs])
+        sup = self.tri_sup + np.bincount(np.searchsorted(keys, cred),
+                                         minlength=keys.size)
+        gone = sup < thresh
+        self.tri_sup = sup
+        if gone.any():
+            self.tri_gone.append((keys[gone], rnd))
+            self.tri_keys, self.tri_sup = keys[~gone], sup[~gone]
+        return int(gone.sum())
+
+    def owner_sup_rows(self, n: int, truss: bool):
+        """This actor's edges as canonical dense ``(src, dst, support)``
+        or, with ``truss``, ``(src, dst, round_removed)`` (−1: still in
+        the truss). Drops the family's state."""
+        keys, gone = self.tri_keys, self.tri_gone
+        vals = np.full(keys.size, -1) if truss else self.tri_sup
+        if truss and gone:
+            keys = np.concatenate([keys] + [k for k, _ in gone])
+            vals = np.concatenate([vals] + [np.full(k.size, r)
+                                            for k, r in gone])
+        self.tri_keys = self.tri_sup = self.tri_gone = None
+        self.tri_deg = self.tri_deg_full = None
+        return _edge_rows(keys, vals, n)
+
+    # -- owner-resident k-core peel -----------------------------------
+    # Owners keep each vertex's degree over the surviving edges as a
+    # counter; shards debit the neighbours of the vertices peeled last
+    # round from those vertices' adjacency segments.
+
+    def owner_core_init(self, lo: int, hi: int, my_idx: int,
+                        *deg_outs) -> bool:
+        """Bind [lo, hi): degree counters from the shards'
+        ``degree_partials``, removal rounds −1."""
+        self.lo, self.hi = lo, hi
+        self.core_cnt = _fold_partials(lo, hi, my_idx, deg_outs)
+        self.core_round = np.full(hi - lo, -1, dtype=np.int64)
+        return True
+
+    def owner_core_round(self, k: int, rnd: int, my_idx: int,
+                         *dec_outs) -> np.ndarray:
+        """Fold the decrements, then peel (``_core_peel``); returns the
+        dense ids peeled in round ``rnd``."""
+        peel = _core_peel(self.core_cnt, self.core_round, k, rnd,
+                          [out[my_idx] for out in dec_outs], self.lo)
+        return peel + self.lo
+
+    def shard_core_dec(self, bounds: np.ndarray, ids: np.ndarray):
+        """Per-range degree decrements from last round's peeled
+        vertices, one per incident edge (``shard_mis_dec`` without the
+        priority test)."""
+        nbr = self._frontier_segments(ids)[0]
+        return _split_sorted(bounds, *self._dec_partial(nbr))
+
+    def owner_core_finalize(self) -> np.ndarray:
+        """Removal rounds into the state (for ``owner_scores``);
+        returns this range's removed flags."""
+        self.state = self.core_round.astype(np.float64)
+        gone = self.core_round >= 0
+        self.core_cnt = self.core_round = None
+        return gone
+
+    def shard_core_edges(self, gone: np.ndarray):
+        """This slice's edges (each once, as its u < v message) with
+        neither endpoint removed, as dense ``(src, dst)``."""
+        one = self.u < self.v
+        u = self.u[one].astype(np.int64)
+        v = self.v[one].astype(np.int64)
+        keep = ~(gone[u] | gone[v])
+        return u[keep], v[keep]
 
     # -- owner-resident Jones–Plassmann machinery (MIS + coloring) ---
     # Owner-resident JP keeps, per vertex: a resident counter of
@@ -761,16 +918,10 @@ class EdgeShard:
     def shard_mis_dec(self, bounds: np.ndarray, ids: np.ndarray):
         """Per-range decrement partials from newly-DECIDED vertices
         (MIS winners + exclusions of the previous round)."""
-        z = np.empty(0, dtype=np.int64)
-        if self.u.size == 0 or ids.size == 0:
-            return tuple((z, z) for _ in range(len(bounds) - 1))
         nbr, counts, hit, _ = self._frontier_segments(ids)
         u_ids = np.repeat(ids[hit], counts)
-        vd, dc = self._dec_partial(nbr[self.jp_pri[u_ids]
-                                       < self.jp_pri[nbr]])
-        cuts = np.searchsorted(vd, bounds)
-        return tuple((vd[cuts[i]:cuts[i + 1]], dc[cuts[i]:cuts[i + 1]])
-                     for i in range(len(bounds) - 1))
+        return _split_sorted(bounds, *self._dec_partial(
+            nbr[self.jp_pri[u_ids] < self.jp_pri[nbr]]))
 
     def shard_sample_nbrs(self, ids: np.ndarray, f: int,
                           seed: int, layer: int):
@@ -808,11 +959,7 @@ class EdgeShard:
         """Fold the shards' lower-pri-neighbor counts and reset the
         decision vectors (color/status −1, round 0)."""
         width = self.hi - self.lo
-        cnt = np.zeros(width, dtype=np.int64)
-        for out in cnt_outs:
-            uniq_v, c = out[my_idx]
-            cnt[uniq_v - self.lo] += c
-        self.jp_cnt = cnt
+        self.jp_cnt = _fold_partials(self.lo, self.hi, my_idx, cnt_outs)
         self.jp_n = n
         self.jp_color = np.full(width, -1, dtype=np.int64)
         self.jp_round = np.zeros(width, dtype=np.int64)

@@ -56,15 +56,19 @@ def test_owner_combine_hub_skew(k):
     hub's messages to one partial before the hub's range owner combines
     them, so a hub-skewed weighted graph on k owners gives the local
     results — PageRank (plain, weighted and personalized), eigenvector
-    and Katz to 1e-12; CC labels, LP labels, SSSP distances and BFS
-    levels, parents and discovery times exactly."""
+    and Katz to 1e-12; CC labels, LP labels, SSSP distances, BFS
+    levels, parents and discovery times, edge support, k-truss rounds
+    (k = 3, 4), k-core rounds and core edges (k = 2, 3) exactly."""
     import ray.data
 
     from centrality_gpu_ray.pipelines.bfs import bfs
     from centrality_gpu_ray.pipelines.eigenvector import (
         eigenvector_centrality, katz_centrality)
+    from centrality_gpu_ray.pipelines.peel import peel
     from centrality_gpu_ray.pipelines.shards import ShardPool
     from centrality_gpu_ray.pipelines.sssp import sssp
+    from centrality_gpu_ray.pipelines.triangles import edge_support
+    from centrality_gpu_ray.pipelines.truss import ktruss
 
     tbl = hub_skewed_graph()
     g_loc = Graph(ray.data.from_arrow(tbl), mode="local")
@@ -94,6 +98,20 @@ def test_owner_combine_hub_skew(k):
             for col in cols:
                 assert np.array_equal(want.column(col).to_numpy(),
                                       got.column(col).to_numpy()), col
+        by_edge = [("src", "ascending"), ("dst", "ascending")]
+        want, got = (edge_support(h).sort_by(by_edge) for h in (g_loc, g))
+        assert want.equals(got)
+        for c in (3, 4):
+            ms = [{}, {}]
+            want, got = (ktruss(h, k=c, metrics=m).sort_by(by_edge)
+                         for h, m in zip((g_loc, g), ms))
+            assert want.equals(got) and ms[0]["rounds"] == ms[1]["rounds"]
+        for c in (2, 3):
+            (want, want_core), (got, got_core) = (peel(h, k=c)
+                                                  for h in (g_loc, g))
+            assert want.equals(got), c
+            assert want_core.sort_by(by_edge).equals(
+                got_core.sort_by(by_edge)), c
     finally:
         g.pool.shutdown()
 

@@ -91,18 +91,55 @@ def test_pendant_prune_chain():
     assert kept == {(4, 5), (4, 6), (5, 6)}
 
 
-@pytest.mark.parametrize("mode", ["local", "distributed"])
+def _table(result):
+    """Sharded results are Datasets; dense ones tables."""
+    import pyarrow as pa
+    import ray
+
+    if isinstance(result, pa.Table):
+        return result
+    return pa.concat_tables(ray.get(result.to_arrow_refs()))
+
+
+@pytest.mark.parametrize("mode", ["local", "distributed", "sharded"])
 def test_kcore_modes_agree(mode):
-    g = Graph(fixture_dataset("test4"), mode=mode)
-    rounds, core = peel(g, k=3)
-    # survivors all have degree >= 3 within the core
     import collections
 
+    import pyarrow as pa
+    import ray.data
+
+    from centrality_gpu_ray.config import EngineConfig
+
+    def graph(ds, n):
+        if mode == "sharded":
+            g = Graph(ds, config=EngineConfig(dense_vertex_limit=n - 1))
+            assert g.sharded
+            return g
+        return Graph(ds, mode=mode)
+
+    rounds, core = (_table(t) for t in peel(graph(fixture_dataset("test4"),
+                                                  21), k=3))
+    # survivors all have degree >= 3 within the core
     deg = collections.Counter()
     for s, d in zip(core["src"].to_pylist(), core["dst"].to_pylist()):
         deg[s] += 1
         deg[d] += 1
     assert all(v >= 3 for v in deg.values()) or len(deg) == 0
+    assert set(deg) <= {v for v, r in zip(rounds["node"].to_pylist(),
+                                          rounds["round_removed"].to_pylist())
+                        if r == -1}
+
+    # K1,3 at k = 3: the leaves go in round 0, which leaves the centre at
+    # degree 0 but never below-k-and-positive, so it stays at -1 with no
+    # core edge (the semantics the graph_kcore SQL oracle mirrors)
+    star = pa.table({"src": pa.array([5, 5, 5], type=pa.int64()),
+                     "dst": pa.array([6, 7, 8], type=pa.int64())})
+    rounds, core = (_table(t) for t in peel(
+        graph(ray.data.from_arrow(star), 4), k=3))
+    got = dict(zip(rounds["node"].to_pylist(),
+                   rounds["round_removed"].to_pylist()))
+    assert got == {5: -1, 6: 0, 7: 0, 8: 0}
+    assert core.num_rows == 0
 
 
 def test_write_read_scores_roundtrip(tmp_path):

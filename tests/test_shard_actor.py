@@ -93,6 +93,35 @@ _GUARD = textwrap.dedent("""
         a.owner_tri_fold(i, *c_outs)
     tri = np.concatenate([a.owner_get_state() for a in sh])
 
+    # edge support: the same first three rounds, then edge credits
+    deg_outs = [a.degree_partials(bounds) for a in sh]
+    deg = np.concatenate([a.owner_tri_degree(*lo_hi[i], i, *deg_outs)
+                          for i, a in enumerate(sh)])
+    e_outs = [a.shard_tri_orient(P, deg) for a in sh]
+    w_outs = [a.owner_tri_wedges(n, deg, i, *e_outs)
+              for i, a in enumerate(sh)]
+    c_outs = [a.owner_sup_match(n, i, *w_outs) for i, a in enumerate(sh)]
+    for i, a in enumerate(sh):
+        a.owner_sup_fold(0, 0, i, *c_outs)
+    sup = [np.concatenate(c).tolist()
+           for c in zip(*[a.owner_sup_rows(n, False) for a in sh])]
+
+    # k-core at k = 4: owner degree counters, shard decrements
+    deg_outs = [a.degree_partials(bounds) for a in sh]
+    for i, a in enumerate(sh):
+        a.owner_core_init(*lo_hi[i], i, *deg_outs)
+    rnd, decs = 0, []
+    while True:
+        ids = np.concatenate([a.owner_core_round(4, rnd, i, *decs)
+                              for i, a in enumerate(sh)])
+        if ids.size == 0:
+            break
+        decs = [a.shard_core_dec(bounds, ids) for a in sh]
+        rnd += 1
+    for a in sh:
+        a.owner_core_finalize()
+    core = np.concatenate([a.owner_get_state() for a in sh])
+
     # Jones-Plassmann: per-owner splitmix priorities read through a
     # vertex dictionary, then MIS and coloring rounds. Without a Ray
     # session the dictionary blocks are plain arrays, so the reader's
@@ -153,14 +182,14 @@ _GUARD = textwrap.dedent("""
                                     "centrality_gpu_ray.stages")))
     print(json.dumps({"heavy": heavy, "pr": pr.tolist(), "lp": lp.tolist(),
                       "tri": tri.tolist(), "rows": rows, "mis": mis,
-                      "color": color}))
+                      "color": color, "sup": sup, "core": core.tolist()}))
 """)
 
 
 def test_shard_actor_imports_no_engine_pandas_or_ray_data(tmp_path):
-    """Run PageRank, LP, triangle, checkpoint-write and Jones–Plassmann
-    (priority chunk, MIS, coloring) kernels on the plain class in a
-    fresh interpreter; it must load no pandas, Ray Data or engine
+    """Run PageRank, LP, triangle, edge-support, k-core,
+    checkpoint-write and Jones–Plassmann (priority chunk, MIS,
+    coloring) kernels on the plain class in a fresh interpreter; it must load no pandas, Ray Data or engine
     pipeline module. (Checked outside Ray on purpose: a
     live actor may be handed a worker that already loaded them.)"""
     n, s, d = _edges()
@@ -187,6 +216,21 @@ def test_shard_actor_imports_no_engine_pandas_or_ray_data(tmp_path):
     tri = np.diag(adj @ adj @ adj) // 2
     assert [int(x) for x in got["tri"]] == tri.tolist()
     assert tri.sum() > 0
+    # support of edge (u, v) = common neighbours; every edge once
+    src, dst, sup = got["sup"]
+    assert sorted(zip(src, dst)) == sorted(zip(s.tolist(), d.tolist()))
+    assert sup == [int((adj @ adj)[u, v]) for u, v in zip(src, dst)]
+    # k-core rounds from a serial peel of the adjacency matrix
+    alive, want, r = adj.copy(), np.full(n, -1), 0
+    while True:
+        dg = alive.sum(axis=1)
+        peel = (dg > 0) & (dg < 4) & (want < 0)
+        if not peel.any():
+            break
+        want[peel] = r
+        alive[peel, :] = alive[:, peel] = 0
+        r += 1
+    assert [int(x) for x in got["core"]] == want.tolist() and r == 2
     # JP: the driver loops over the same priorities (original ids
     # 7i + 3, seed 1) give the same statuses, colors and rounds
     pri = mis_priorities(7 * np.arange(n, dtype=np.int64) + 3, 1)
@@ -289,11 +333,16 @@ def _settled_store_bytes(limit: float = 10.0) -> int:
 def test_graph_and_pool_leave_no_store_bytes():
     """Building a dense graph, spawning its pool and shutting both down
     returns the object store to its baseline (a remap id vector used to
-    stay behind: n·8 + 248 bytes per graph)."""
+    stay behind: n·8 + 248 bytes per graph); so does a sharded graph
+    that ran edge support, k-truss and k-core on its pool."""
     import pyarrow as pa
     import ray.data
 
+    from centrality_gpu_ray.config import EngineConfig
     from centrality_gpu_ray.pipelines.graph import Graph
+    from centrality_gpu_ray.pipelines.peel import peel
+    from centrality_gpu_ray.pipelines.triangles import edge_support
+    from centrality_gpu_ray.pipelines.truss import ktruss
 
     rng = np.random.default_rng(11)
     src = rng.integers(0, 6000, size=20000) * 3 + 1
@@ -307,4 +356,13 @@ def test_graph_and_pool_leave_no_store_bytes():
         g.pool.shutdown()
         del g
         gc.collect()
+    g = Graph(ray.data.from_arrow(tbl),
+              config=EngineConfig(dense_vertex_limit=1000))
+    assert g.sharded
+    for out in (edge_support(g), ktruss(g, k=3), *peel(g, k=3)):
+        assert out.count() > 0
+    del out
+    g.pool.shutdown()
+    del g
+    gc.collect()
     assert _settled_store_bytes() <= base

@@ -73,7 +73,7 @@ def test_triangle_pass_owner_boundaries(ray_session, k):
     from centrality_gpu_ray.pipelines import pagerank
     from centrality_gpu_ray.pipelines.shards import ShardPool
     from centrality_gpu_ray.pipelines.triangles import (
-        _count_local, _orient, _wedges_from_adj)
+        _count_local, _orient, _wedges_from_adj, triangle_pass)
 
     g = Graph(ray.data.from_arrow(hub_skewed_graph()), mode="distributed")
     n = g.num_vertices
@@ -87,7 +87,7 @@ def test_triangle_pass_owner_boundaries(ray_session, k):
     pool = ShardPool(g.edges, num_shards=k)
     fresh = ShardPool(g.edges, num_shards=k)
     assert len(pool.actors) == k
-    got_wedges, got_matched, *_ = pool.triangle_pass(n)
+    got_wedges, got_matched, *_ = triangle_pass(pool, n)
     assert np.array_equal(pool.collect_state(), want)
     assert (got_wedges, got_matched) == (wedges, matched)
     assert matched == want.sum() // 3 == 60 + 20 + 20  # hub, chord rings
@@ -104,11 +104,12 @@ def test_triangle_pass_rejects_tiled_pool(ray_session):
     """A same-vertex tiled pool holds every edge R times; counting on it
     would multiply triangles, so the kernel refuses it."""
     from centrality_gpu_ray.pipelines.shards import ShardPool
+    from centrality_gpu_ray.pipelines.triangles import triangle_pass
 
     g = Graph(ray.data.from_arrow(hub_skewed_graph()), mode="distributed")
     pool = ShardPool(g.edges, num_shards=1, replicas=2)
     try:
         with pytest.raises(ValueError, match="tiled"):
-            pool.triangle_pass(g.num_vertices)
+            triangle_pass(pool, g.num_vertices)
     finally:
         pool.shutdown()
