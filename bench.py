@@ -4,8 +4,9 @@ Headline: PageRank supersteps to 1e-6 L1 convergence over the
 lineitem-derived co-occurrence edge table at $GRAFT_SF_DIR (default
 sf0.1), run in **distributed** mode (``ShardPool.pr_step`` per superstep:
 owner-resident rank chunks, resident edge shards' reduceat partials
-combined per vertex range) — the same execution path a multi-node
-cluster would use. Reports edges-processed/sec = 2·m·supersteps / sec
+combined per vertex range, each owner handing its next chunk straight
+to the shards — two dependent hops) — the same execution path a
+multi-node cluster would use. Reports edges-processed/sec = 2·m·supersteps / sec
 (both message directions).
 
 Prints ONE JSON line:
@@ -542,14 +543,15 @@ def run_scaling_job() -> dict:
     pool.setup_owners(n)
 
     num_edges = g.num_edges * replicas
-    pool.pr_step(cfg.damping)  # warm-up (worker spawn, remote-fn export)
+    pool.pr_step(None, cfg.damping)  # warm-up (worker spawn, remote-fn export)
+    # the loop starts from the reset state, not the warm-up's carry
     pool.set_state(np.full(n, 1.0 / n, dtype=np.float64))
     t0 = time.perf_counter()
-    delta, steps = np.inf, 0
+    delta, steps, carry = np.inf, 0, None
     step_times = []
     while steps < cfg.max_supersteps and delta > cfg.tolerance:
         s0 = time.perf_counter()
-        delta = pool.pr_step(cfg.damping)
+        delta, carry = pool.pr_step(carry, cfg.damping)
         step_times.append(time.perf_counter() - s0)
         steps += 1
     sec = time.perf_counter() - t0

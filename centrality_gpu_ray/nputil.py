@@ -27,6 +27,18 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def concat_chunks(chunks):
+    """The P owners' chunks of one vector end to end: arrays as one
+    array, equal-length tuples column by column (ids stay globally
+    sorted — owner ranges ascend). A lone chunk passes through
+    uncopied. Each shard joins a superstep's chunks itself, a private
+    copy it reads at heap speed; ``shards.assemble``'s task joins
+    one-shot broadcasts with it, loading no more than this module."""
+    if isinstance(chunks[0], tuple):
+        return tuple(concat_chunks(col) for col in zip(*chunks))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 def splitmix(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over uint64 — the ONE mixing step behind the
     CMS rows, the Bloom double-hash family and the MIS/JP priorities

@@ -9,7 +9,9 @@ and sharded graphs alike). Per superstep each edge shard returns the
 min parent per newly reached neighbor and each range owner adopts the
 min across shards. A small frontier (< n/8) touches only its own
 adjacency segments (top-down); a wide one streams all messages against
-the assembled level vector (bottom-up) — the α/β switch. The serial
+a frontier bitmap (bottom-up) — the α/β switch. Either way only the
+owners' frontier id parts ship, straight from one step's owners to the
+next step's shards. The serial
 fallback is the engine's ``local`` mode (whole edge table on the
 driver). Both loops run until a level adds no vertex, so a long path
 is never cut short by ``max_supersteps``.
@@ -107,12 +109,12 @@ def _bfs_pool(graph: Graph, src: int, cfg: EngineConfig):
     ray.get([a.owner_fill_state.remote(-1.0) for a in pool.actors])
     ray.get([a.owner_fill_aux.remote(-1.0) for a in pool.actors])
     ray.get([a.owner_set_value.remote(src, 0.0) for a in pool.actors])
-    depth, reached, frontier = 0, 1, 1
+    depth, reached, frontier, carry = 0, 1, 1, None
     while True:
         # frontier = |level depth| from the previous superstep's adopt
         # count — drives the top-down/bottom-up direction switch
-        new = pool.bfs_step_sharded(
-            depth,
+        new, carry = pool.bfs_step_sharded(
+            carry, depth,
             frontier_size=frontier if cfg.bfs_direction_opt else None)
         if new == 0:
             return depth, reached

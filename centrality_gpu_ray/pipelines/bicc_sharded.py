@@ -74,6 +74,17 @@ class _OrigMapper:
         return self._reader[dense.astype(np.int64)]
 
 
+def _cc_to_fixpoint(pool, cfg: EngineConfig, what: str, alt: bool = False):
+    """Min-label CC supersteps on ``pool`` until no label moves."""
+    steps, (changed, carry) = 0, pool.cc_step(None, alt)
+    while changed:
+        steps += 1
+        if steps > cfg.max_supersteps:
+            raise RuntimeError(
+                f"bicc: {what} exceeded max_supersteps={cfg.max_supersteps}")
+        changed, carry = pool.cc_step(carry, alt)
+
+
 def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     """Run the distributed BiCC pipeline once per graph; returns (and
     caches on the graph) the pool + the assembled parent/level/label
@@ -108,12 +119,7 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     # 1. CC → roots (state = min-id labels, then re-init as BFS forest)
     pool.setup_owners(graph.num_vertices)
     pool.reset_labels()
-    steps = 0
-    while pool.cc_step() > 0:
-        steps += 1
-        if steps > cfg.max_supersteps:
-            raise RuntimeError(
-                f"bicc: CC exceeded max_supersteps={cfg.max_supersteps}")
+    _cc_to_fixpoint(pool, cfg, "CC")
     # snapshot the converged component labels BEFORE owner_bicc_init
     # re-initialises owner state for the BFS forest (actor tasks
     # serialize, so the get materializes first): betweenness_decomposed
@@ -124,10 +130,10 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     _mark("cc_roots")
 
     # 2. BFS forest (all roots at level 0)
-    depth, frontier = 0, roots
+    depth, frontier, carry = 0, roots, None
     while True:
-        new = pool.bfs_step_sharded(
-            depth,
+        new, carry = pool.bfs_step_sharded(
+            carry, depth,
             frontier_size=frontier if cfg.bfs_direction_opt else None)
         if new == 0:
             break
@@ -207,13 +213,7 @@ def _bicc_run(graph: Graph, cfg: EngineConfig, metrics: dict | None) -> dict:
     # self-free-ness is irrelevant to min-label CC.
     if n_aux > 0:
         pool.reset_labels()
-        steps = 0
-        while pool.cc_step(alt=True) > 0:
-            steps += 1
-            if steps > cfg.max_supersteps:
-                raise RuntimeError(
-                    f"bicc: aux-graph CC exceeded max_supersteps="
-                    f"{cfg.max_supersteps}")
+        _cc_to_fixpoint(pool, cfg, "aux-graph CC", alt=True)
         aux_label_full = assemble(
             [a.owner_get_state.remote() for a in actors])
         ray.get([a.owner_bicc_set_label_chunk.remote(aux_label_full)

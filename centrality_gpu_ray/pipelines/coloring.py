@@ -148,7 +148,7 @@ def _coloring_pool(graph: Graph, seed: int, cap: int) -> tuple[int, int]:
     n = graph.num_vertices
     pool = jp_setup(graph, seed)
     rnd = 1
-    ncol, pair_ref = pool.jp_color_first()
+    ncol, pairs = pool.jp_color_first()
     total = ncol
     while total < n:
         rnd += 1
@@ -156,7 +156,7 @@ def _coloring_pool(graph: Graph, seed: int, cap: int) -> tuple[int, int]:
             raise RuntimeError(
                 f"greedy_coloring: {n - total} vertices uncolored "
                 f"after max_rounds={cap}")
-        ncol, pair_ref = pool.jp_color_round(pair_ref, rnd)
+        ncol, pairs = pool.jp_color_round(pairs, rnd)
         total += ncol
     und, max_color = pool.jp_finalize()
     if und:

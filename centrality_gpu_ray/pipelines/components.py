@@ -59,9 +59,10 @@ def connected_components(graph: Graph, config: EngineConfig | None = None,
         pool.setup_owner_ranges(graph.num_vertices)
         pool.reset_labels()
         start, _ = ckpt.resume(pool)
-        step = start
+        step, carry = start, None
         while changed and step < cfg.max_supersteps:
-            changed = pool.cc_step() > 0
+            nch, carry = pool.cc_step(carry)
+            changed = nch > 0
             ckpt.save(step, pool, changed=changed, mode=graph.mode)
             step += 1
         out = graph.owner_scores(pool, "component", ids=True)

@@ -52,9 +52,9 @@ def eigenvector_centrality(graph: Graph, config: EngineConfig | None = None,
             step += 1
         out = graph.scores_table(x, "eigenvector")
     else:
-        pool = _pool_filled(graph, 1.0 / n)
+        pool, carry = _pool_filled(graph, 1.0 / n), None
         while step < cfg.max_supersteps and delta > cfg.tolerance:
-            delta = pool.ev_step(weighted)
+            delta, carry = pool.ev_step(carry, weighted)
             step += 1
         out = graph.owner_scores(pool, "eigenvector")
     elapsed = time.perf_counter() - t0
@@ -88,9 +88,9 @@ def katz_centrality(graph: Graph, alpha: float = 1e-4, beta: float = 1.0,
             step += 1
         out = graph.scores_table(x, "katz")
     else:
-        pool = _pool_filled(graph, beta)
+        pool, carry = _pool_filled(graph, beta), None
         while step < cfg.max_supersteps and delta > cfg.tolerance:
-            delta = pool.katz_step(alpha, beta, weighted)
+            delta, carry = pool.katz_step(carry, alpha, beta, weighted)
             step += 1
         out = graph.owner_scores(pool, "katz")
     if metrics is not None:

@@ -103,7 +103,8 @@ def _lp_pool(graph: Graph, max_supersteps: int, weighted: bool,
     pool.reset_labels()
     start, _ = ckpt.resume(pool)
     step, changed = start, True
-    triple_ref, nch = None, n
+    # carry: label chunks (lp_step) or changed triples (delta steps)
+    carry, nch = None, n
     while changed and step < max_supersteps:
         # adaptive push/pull: while most labels still churn, a full
         # count-table rebuild is ~2× cheaper than shipping ±w deltas
@@ -112,11 +113,11 @@ def _lp_pool(graph: Graph, max_supersteps: int, weighted: bool,
         # magnitude. Both are exact supersteps — the switch cannot
         # change any decision.
         if not pool._frontier_capable:
-            nch = pool.lp_step(weighted)
-        elif triple_ref is None or nch * 2 > n:
-            nch, triple_ref = pool.lp_init_resident(weighted)
+            nch, carry = pool.lp_step(carry, weighted)
+        elif carry is None or nch * 2 > n:
+            nch, carry = pool.lp_init_resident(weighted)
         else:
-            nch, triple_ref = pool.lp_delta_step(triple_ref, weighted)
+            nch, carry = pool.lp_delta_step(carry, weighted)
         changed = nch > 0
         ckpt.save(step, pool, changed=int(nch), mode=graph.mode)
         step += 1

@@ -164,14 +164,12 @@ def _mis_pool(graph: Graph, seed: int, scheme: str,
     vertices win, (2) winners' undecided neighbors are excluded.
     Round-for-round identical to the driver loop; leaves (status,
     round) in the owners' state/aux. Returns (rounds, MIS size)."""
-    from centrality_gpu_ray.pipelines.shards import assemble
-
     n = graph.num_vertices
     pool = jp_setup(graph, seed, scheme)
     rnd = 1
-    nwin, win_ref = pool.mis_first()
+    nwin, wins = pool.mis_first()
     mis_size = nwin
-    nexc, exc_ref = pool.mis_exclude_round(win_ref, rnd)
+    nexc, excs = pool.mis_exclude_round(wins, rnd)
     total = nwin + nexc
     while total < n:
         rnd += 1
@@ -179,10 +177,9 @@ def _mis_pool(graph: Graph, seed: int, scheme: str,
             raise RuntimeError(
                 f"maximal_independent_set: {n - total} vertices "
                 f"undecided after max_supersteps={cap}")
-        nwin, win_ref = pool.mis_win_round(assemble([win_ref, exc_ref]),
-                                           rnd)
+        nwin, wins = pool.mis_win_round(wins + excs, rnd)
         mis_size += nwin
-        nexc, exc_ref = pool.mis_exclude_round(win_ref, rnd)
+        nexc, excs = pool.mis_exclude_round(wins, rnd)
         total += nwin + nexc
     und, _ = pool.jp_finalize()
     if und:

@@ -14,14 +14,16 @@ Execution:
   shard pool (``pipelines/shards.py``), for dense and sharded graphs
   alike: vertex-range owner actors derive their degree chunks from the
   shards (``ShardPool.setup_owners``) and hold the rank chunks; per
-  superstep the contribution vector ``rank / deg`` is assembled once,
-  every edge shard ``reduceat``s its presorted messages into one
-  partial per destination (a hub's messages fold to one row per
-  shard), and each owner combines the shards' partials for its range
-  and adds teleport + dangling mass (``pr_step``). Personalized
-  PageRank keeps the k-entry teleport vector in the owners
-  (``set_teleport``, ``ppr_step``). The driver sums 2P scalars — no
-  O(n) serial section; the static edge table never moves. Dense graphs
+  superstep every edge shard joins the owners' ``rank / deg`` chunks
+  and ``reduceat``s its presorted messages into one partial per
+  destination (a hub's messages fold to one row per shard), and each
+  owner combines the shards' partials for its range
+  and adds teleport + dangling mass (``pr_step``). Each owner's next
+  contribution chunk goes straight to the next step's shards, so a
+  superstep is two dependent hops. Personalized PageRank keeps the
+  k-entry teleport vector in the owners (``set_teleport``,
+  ``ppr_step``). The driver sums P deltas — no O(n) serial section;
+  the static edge table never moves. Dense graphs
   collect the owners' chunks into a table, sharded graphs (above
   ``dense_vertex_limit``) emit them as a Dataset.
 
@@ -154,17 +156,18 @@ def _pagerank_local(graph: Graph, cfg: EngineConfig, weighted: bool,
 def _pagerank_pool(graph: Graph, cfg: EngineConfig, weighted: bool,
                    tele, ckpt: LoopCheckpoint):
     """Owner-resident supersteps on ``graph.pool``; returns (first step,
-    end step, last L1 delta). Per superstep the driver launches ~3P
-    actor calls and sums 2P scalars, whatever n and m are."""
+    end step, last L1 delta). Per superstep the driver launches 2P
+    actor calls and sums P deltas, whatever n and m are; the owners
+    sum the dangling masses themselves."""
     pool = graph.pool
     pool.setup_owners(graph.num_vertices, weighted)
     if tele is not None:
         pool.set_teleport(*tele)
     start, _ = ckpt.resume(pool)
-    step, delta = start, np.inf
+    step, delta, carry = start, np.inf, None
+    step_fn = pool.pr_step if tele is None else pool.ppr_step
     while step < cfg.max_supersteps and delta > cfg.tolerance:
-        delta = (pool.pr_step(cfg.damping, weighted) if tele is None
-                 else pool.ppr_step(cfg.damping, weighted))
+        delta, carry = step_fn(carry, cfg.damping, weighted)
         ckpt.save(step, pool, l1_delta=delta, mode=graph.mode)
         step += 1
     return start, step, delta

@@ -79,11 +79,8 @@ def _peel_pool(graph: Graph, k: int, max_rounds: int | None):
                                  *deg_outs)
     rnd, ids = 0, None
     while max_rounds is None or rnd < max_rounds:
-        decs = ([] if ids is None else
-                [a.shard_core_dec.remote(bounds, ids) for a in actors])
-        count, ids = pool._counted([
-            a.owner_core_round.remote(k, rnd, p, *decs)
-            for p, a in enumerate(actors)])
+        count, ids = pool.combine("owner_core_round", k, rnd, outs=(
+            [] if ids is None else pool.gather("shard_core_dec", ids)))
         if count == 0:
             break
         rnd += 1

@@ -28,6 +28,16 @@ key-sorted), so float accumulation is bit-reproducible across runs and
 resumes. The same owner loops serve dense-distributed and sharded
 graphs; the graph only decides how ids come in and scores go out.
 
+Every superstep loop is the same exchange of two dependent hops: P
+shard gathers (``gather``), each joining the P owner chunks itself →
+P owner combines (``combine``), each returning a scalar and the next
+step's chunk (``num_returns=2``) → the driver sums P scalars. The
+chunk refs (the carry) go from one step into the next step's gathers
+and live in the calling loop, never in the pool. The steps also
+submit an empty task at most every quarter second, not awaited, so Ray
+keeps its task workers (``_touch_task_workers``). ``assemble`` serves
+one-shot broadcasts only.
+
 On a multi-node cluster the pool spreads across nodes (one actor per
 core), each holding ~|E|/K edges; the broadcast state vector is one
 object-store copy per node. This is precisely SURVEY.md §7.3's
@@ -44,8 +54,11 @@ actors from their own modules (``triangles.py``, ``truss.py``,
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from centrality_gpu_ray.nputil import concat_chunks
 from centrality_gpu_ray.shard_actor import remote_class
 from centrality_gpu_ray.stages.shuffle import cluster_width
 
@@ -71,52 +84,80 @@ def _numpy_blocks(ds, min_blocks: int = 1) -> list:
 _ASSEMBLE = None
 
 
-def assemble(parts: list, count: bool = False, num_returns: int = 1):
-    """Concat the P owners' parts into ONE plasma object per superstep:
-    arrays end to end, equal-length tuples column by column (ids stay
-    globally sorted — owner ranges ascend). ``num_returns=k`` stores a
-    k-column result as k objects; ``count=True`` also returns its row
-    count first, the only value the driver derefs. Every shard reads
-    the object zero-copy via arg auto-deref (shared physical pages —
-    one L3-resident copy per node, not P private copies). On a
-    multi-node cluster this is the one object-store broadcast copy per
-    node the design budgets for.
+def assemble(parts: list):
+    """Join the P owners' parts (``concat_chunks``) into ONE plasma
+    object — for one-shot broadcasts only (BiCC, the Brandes/WBC level
+    passes, SGNS, triangle degrees, ``jp_setup``, the peel's removed
+    flags):
+    every shard reads it zero-copy via arg auto-deref, one copy per
+    node. The superstep loops skip it: each shard joins the owners'
+    chunks itself (``ShardPool.gather``).
 
-    **Scale envelope — what breaks first at ~1e9 vertices.** The
-    assembled vector is O(n) bytes per node per superstep (int32
-    labels: 4 GB at 1e9; float64 scores: 8 GB) — it is this broadcast,
-    NOT the shuffles (which stay O(E/K) per shard) or the driver
-    (O(P) scalars per superstep), that hits a wall first: per-node
-    object-store headroom and the cross-node fan-out bandwidth
-    (n bytes × nodes per superstep). Two escape hatches, both local to
-    this function's call sites: (a) chunked broadcast — keep the P
-    owner chunks as separate plasma objects and have each shard deref
-    only the chunks covering ids it actually gathers (shards touch
-    ~E/K edges → at most that many distinct targets; for
-    well-partitioned graphs that is a small fraction of n), trading
-    one object ref for P refs per task; (b) frontier-sparse supersteps
-    (already implemented for single-source BFS: narrow levels ship
-    only the frontier id array, see ``brandes_source_pass``).  Within
-    the stated <2^31-vertex envelope the single assembled object is
-    strictly faster (one deref, sequential pages), which is why the
-    hatches stay unwired."""
+    **Scale envelope — what breaks first at ~1e9 vertices.** A
+    superstep's state vector is O(n) bytes (int32 labels: 4 GB at
+    1e9; float64 scores: 8 GB), and every shard concatenates its own
+    private O(n) copy of it per superstep: P copies per node, rebuilt
+    every step, where one assembled object would serve them all. It
+    is this copy, NOT the shuffles (O(E/K) per shard) or the driver
+    (O(P) scalars per superstep), that hits a wall first: per-shard
+    memory and the copy's bandwidth, plus the cross-node fan-out
+    (n bytes × nodes). The copy buys two dependent hops per superstep
+    instead of four (no assemble task between owners and shards): on
+    one vCPU with 2 actors PageRank took 6.87 instead of 10.98 ms per
+    step at n 17,100 and 25.7 instead of 32.6 ms at sf0.1 (n 168,236,
+    m 1.79M, 18 steps), bit-identical. Whether one shared copy wins
+    back at high P (a profile once showed the gather at 0.28 s for
+    P=2 and 0.29 s for P=6, private copies thrashing L3) cannot be
+    measured on a 1-vCPU host. Escape
+    hatches, local to ``ShardPool.gather``'s kernels: each shard reads
+    only the chunks covering ids it gathers (~E/K edges → a fraction
+    of n on well-partitioned graphs), or ships only frontiers (BFS and
+    the Brandes sweeps already do for narrow levels)."""
     global _ASSEMBLE
     if _ASSEMBLE is None:
         import ray
 
         @ray.remote(num_cpus=0)
-        def _assemble(count: bool, *parts):
-            if isinstance(parts[0], tuple):
-                out = tuple(np.concatenate(col) for col in zip(*parts))
-                rows = len(out[0])
-            else:
-                out = np.concatenate(parts)
-                rows = len(out)
-            return (rows, out) if count else out
+        def _assemble(*parts):
+            return concat_chunks(parts)
 
         _ASSEMBLE = _assemble
-    return _ASSEMBLE.options(num_returns=num_returns + count).remote(
-        count, *parts)
+    return _ASSEMBLE.remote(*parts)
+
+
+_IDLE = None
+_IDLE_AT = 0.0
+# Ray reaps a task worker idle for over 1 s: one empty task per quarter
+# second keeps even two workers that take turns running it warm.
+_TOUCH_EVERY_S = 0.25
+
+
+def _touch_task_workers():
+    """Submit one empty task, at most every ``_TOUCH_EVERY_S``, and do
+    not wait for it. The raylet kills a task worker idle for over a
+    second while its registered workers, the pool's actors included,
+    exceed its soft limit (num_cpus); the next Ray Data execution then
+    starts fresh worker processes. Loops of actor calls alone let that
+    happen (median job_s +0.34 s on lineitem_cold, +0.87 s on
+    corpus_sharded, 1 vCPU, 2-CPU Ray); the empty tasks keep the task
+    workers alive, off the step's critical path. The function is nested
+    so that Ray ships it by value: a module-level one would make the
+    worker import this module and with it the whole ``pipelines``
+    package."""
+    global _IDLE, _IDLE_AT
+    now = time.monotonic()
+    if now - _IDLE_AT < _TOUCH_EVERY_S:
+        return
+    _IDLE_AT = now
+    if _IDLE is None:
+        import ray
+
+        @ray.remote(num_cpus=0)
+        def _idle():
+            return None
+
+        _IDLE = _idle
+    _IDLE.remote()
 
 
 class ShardPool:
@@ -203,51 +244,68 @@ class ShardPool:
 
         ray.get([a.owner_init_labels.remote() for a in self.actors])
 
-    def pr_step(self, alpha: float, weighted: bool = False) -> float:
-        """One owner-combined PageRank superstep; returns global L1 delta.
-        Driver-side work: launching ~3P actor calls and summing 2P
-        scalars — independent of n and m."""
+    # -- the superstep exchange: two dependent hops ----------------------
+    # P shard gathers over the owners' chunks → P owner combines, each
+    # returning (scalar, next chunk) → the driver sums P scalars. The
+    # next chunks (the carry) go straight into the next step's gathers;
+    # the caller's loop holds them, never the pool, so ``set_state``,
+    # ``resume_owners`` or a family switch cannot feed a stale chunk.
+    # A step given ``carry=None`` reads its chunks from the owners
+    # first (one more hop).
+
+    def _chunks(self, carry, method: str = "owner_get_state", *args):
+        return carry if carry is not None else [
+            getattr(a, method).remote(*args) for a in self.actors]
+
+    def gather(self, method: str, chunks, *args) -> list:
+        """P shard calls ``method(bounds, *args, *chunks)``; each
+        shard joins the P owner chunks itself."""
+        return [getattr(a, method).remote(self.bounds, *args, *chunks)
+                for a in self.actors]
+
+    def combine(self, method: str, *args, outs=None):
+        """P owner calls ``method(*args, p, *outs)`` — just
+        ``method(*args)`` when there are no shard outputs — each
+        returning (scalar, next chunk). Returns (Σ scalars, the P
+        next-chunk refs): the step's one driver sync."""
         import ray
 
-        P = len(self.actors)
-        wm_refs = [a.owner_make_w_mass.remote() for a in self.actors]
-        w_full, masses = assemble(wm_refs, num_returns=2)
-        outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
-                for a in self.actors]
-        teleport = (1.0 - alpha) / self.n
-        # one output object per shard; owner p slices slot p of each
-        # (zero-copy views). The driver's only synchronization point in
-        # the whole superstep is the delta sum — O(P) scalars.
-        delta_refs = [
-            self.actors[p].owner_combine_pr.remote(
-                teleport, masses, self.n, alpha, p, *outs)
-            for p in range(P)
-        ]
-        return float(sum(ray.get(delta_refs)))
+        _touch_task_workers()
+        scalars, chunks = zip(*[
+            getattr(a, method).options(num_returns=2).remote(
+                *args, *(() if outs is None else (p, *outs)))
+            for p, a in enumerate(self.actors)])
+        return sum(ray.get(list(scalars))), list(chunks)
 
-    def ev_step(self, weighted: bool = False) -> float:
+    def pr_step(self, carry, alpha: float, weighted: bool = False):
+        """One owner-combined PageRank superstep; returns (global L1
+        delta, carry). Driver-side work: launching 2P actor calls and
+        summing P deltas — independent of n and m."""
+        outs = self.gather("shard_gather_pr",
+                           self._chunks(carry, "owner_make_w_mass"),
+                           weighted)
+        return self.combine("owner_combine_pr", (1.0 - alpha) / self.n,
+                            self.n, alpha, outs=outs)
+
+    def ev_step(self, carry, weighted: bool = False):
         """One normalized power-iteration superstep (eigenvector
-        centrality) over owner-resident state; returns global L1 delta.
-        Two driver sync points (global Σy, then delta), each O(P)
-        scalars — still no O(n) driver section."""
+        centrality) over owner-resident state; returns (global L1
+        delta, carry). Two driver sync points (global Σy, then delta),
+        each O(P) scalars — still no O(n) driver section."""
         import ray
 
-        P = len(self.actors)
-        st_refs = [a.owner_get_state.remote() for a in self.actors]
-        w_full = assemble(st_refs)
-        outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
-                for a in self.actors]
+        outs = self.gather("shard_gather_sum", self._chunks(carry),
+                           weighted)
         total = float(sum(ray.get(
-            [self.actors[p].owner_combine_accum.remote(p, *outs)
-             for p in range(P)])))
+            [a.owner_combine_accum.remote(p, *outs)
+             for p, a in enumerate(self.actors)])))
         if total <= 0.0:
             # degenerate gather (all-zero y): drop the pending chunks so
             # a pool reuse can't commit stale state, and surface the
             # condition distinctly from an ordinary converged delta
             ray.get([a.owner_drop_pending.remote() for a in self.actors])
-            return 0.0
-        return float(sum(ray.get(
-            [a.owner_scale_pending.remote(total) for a in self.actors])))
+            return 0.0, None
+        return self.combine("owner_scale_pending", total)
 
     def brandes_init(self):
         import ray
@@ -372,12 +430,13 @@ class ShardPool:
                  for a in self.actors])
         ray.get([a.owner_set_value.remote(src_dense, 0.0)
                  for a in self.actors])
-        steps = 0
-        while self.sssp_step() > 0:
+        steps, (changed, carry) = 0, self.sssp_step(None)
+        while changed:
             steps += 1
             if steps > max_supersteps:
                 raise RuntimeError(
                     f"weighted BC SSSP exceeded {max_supersteps} supersteps")
+            changed, carry = self.sssp_step(carry)
         uniqs = ray.get([a.owner_wbc_start.remote() for a in self.actors])
         ray.get([a.owner_wbc_set_sigma_source.remote(src_dense)
                  for a in self.actors])
@@ -485,59 +544,31 @@ class ShardPool:
         ray.get([a.owner_set_teleport.remote(dense_idx, wts)
                  for a in self.actors])
 
-    def ppr_step(self, alpha: float, weighted: bool = False) -> float:
+    def ppr_step(self, carry, alpha: float, weighted: bool = False):
         """One personalized-PageRank superstep (teleport chunks resident
-        in the owners); returns global L1 delta."""
-        import ray
+        in the owners); returns (global L1 delta, carry)."""
+        outs = self.gather("shard_gather_pr",
+                           self._chunks(carry, "owner_make_w_mass"),
+                           weighted)
+        return self.combine("owner_combine_ppr", alpha, outs=outs)
 
-        P = len(self.actors)
-        wm_refs = [a.owner_make_w_mass.remote() for a in self.actors]
-        w_full, masses = assemble(wm_refs, num_returns=2)
-        outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
-                for a in self.actors]
-        delta_refs = [
-            self.actors[p].owner_combine_ppr.remote(masses, alpha, p,
-                                                    *outs)
-            for p in range(P)
-        ]
-        return float(sum(ray.get(delta_refs)))
-
-    def katz_step(self, alpha: float, beta: float,
-                  weighted: bool = False) -> float:
+    def katz_step(self, carry, alpha: float, beta: float,
+                  weighted: bool = False):
         """One Katz superstep x ← β + α·A·x over owner-resident state;
-        returns global L1 delta. Same two-phase exchange as ev_step
-        minus the normalization barrier's global sum."""
-        import ray
+        returns (global L1 delta, carry)."""
+        outs = self.gather("shard_gather_sum", self._chunks(carry),
+                           weighted)
+        return self.combine("owner_combine_katz", alpha, beta, outs=outs)
 
-        P = len(self.actors)
-        st_refs = [a.owner_get_state.remote() for a in self.actors]
-        w_full = assemble(st_refs)
-        outs = [a.shard_gather_sum.remote(self.bounds, weighted, w_full)
-                for a in self.actors]
-        ray.get([self.actors[p].owner_combine_accum.remote(p, *outs)
-                 for p in range(P)])
-        return float(sum(ray.get(
-            [a.owner_affine_pending.remote(alpha, beta)
-             for a in self.actors])))
-
-    def cc_step(self, alt: bool = False) -> int:
+    def cc_step(self, carry, alt: bool = False):
         """One owner-combined min-label superstep WITH pointer jumping
         (label distances contract geometrically — O(log n) supersteps,
-        not O(diameter)); returns #changed. ``alt=True`` runs over the
-        actors' secondary edge set (``load_alt_edges``)."""
-        import ray
-
-        P = len(self.actors)
-        lab_refs = [a.owner_get_state.remote() for a in self.actors]
-        lab_full = assemble(lab_refs)
-        outs = [(a.shard_gather_min_alt if alt
-                 else a.shard_gather_min).remote(self.bounds, lab_full)
-                for a in self.actors]
-        changed_refs = [
-            self.actors[p].owner_combine_min_jump.remote(lab_full, p, *outs)
-            for p in range(P)
-        ]
-        return int(sum(ray.get(changed_refs)))
+        not O(diameter)); returns (#changed, carry). ``alt=True`` runs
+        over the actors' secondary edge set (``load_alt_edges``)."""
+        labs = self._chunks(carry)
+        outs = self.gather("shard_gather_min_alt" if alt
+                           else "shard_gather_min", labs)
+        return self.combine("owner_combine_min_jump", outs=outs + labs)
 
     def setup_owner_ranges(self, n: int):
         """Minimal owner init: just the [lo, hi) range split — no degree
@@ -549,47 +580,29 @@ class ShardPool:
                  for i, a in enumerate(self.actors)])
 
     def lp_init_resident(self, weighted: bool = True):
-        """Change-driven LP superstep 0: ONE full-count gather builds
-        the owners' resident (v, label)→count tables and runs the first
-        decide. Returns (#changed, changed-triple ref); the driver
-        derefs only the scalar."""
-        P = len(self.actors)
-        lab_refs = [a.owner_get_state.remote() for a in self.actors]
-        lab_full = assemble(lab_refs)
-        outs = [a.shard_gather_label_counts.remote(self.bounds, lab_full,
-                                                   weighted)
-                for a in self.actors]
-        return self._counted(
-            [self.actors[p].owner_lp_init_resident.remote(p, *outs)
-             for p in range(P)])
+        """Change-driven LP full-count superstep: ONE full-count gather
+        over the owners' labels (read fresh — one more hop, on an O(m)
+        step) builds the owners' resident (v, label)→count tables and
+        runs a decide. Returns (#changed, carry: the changed triples)."""
+        outs = self.gather("shard_gather_label_counts", self._chunks(None),
+                           weighted)
+        return self.combine("owner_lp_init_resident", outs=outs)
 
-    def lp_delta_step(self, triple_ref, weighted: bool = True):
+    def lp_delta_step(self, carry, weighted: bool = True):
         """One change-driven LP superstep: shards emit ±w count deltas
         from the changed vertices' adjacency segments
         (O(Σdeg(changed)), not O(m)); owners fold and re-decide only
-        touched vertices. Returns (#changed, next changed-triple ref)."""
-        P = len(self.actors)
-        outs = [a.shard_lp_delta.remote(self.bounds, triple_ref, weighted)
-                for a in self.actors]
-        return self._counted([self.actors[p].owner_lp_apply.remote(p, *outs)
-                              for p in range(P)])
+        touched vertices. Takes and returns the changed triples:
+        (#changed, carry)."""
+        return self.combine("owner_lp_apply", outs=self.gather(
+            "shard_lp_delta", carry, weighted))
 
-    def lp_step(self, weighted: bool = True) -> int:
+    def lp_step(self, carry, weighted: bool = True):
         """One mode-LP superstep over owner-resident labels; returns
-        #vertices whose label changed."""
-        import ray
-
-        P = len(self.actors)
-        lab_refs = [a.owner_get_state.remote() for a in self.actors]
-        lab_full = assemble(lab_refs)
-        outs = [a.shard_gather_label_counts.remote(self.bounds, lab_full,
-                                                   weighted)
-                for a in self.actors]
-        changed_refs = [
-            self.actors[p].owner_combine_mode.remote(p, *outs)
-            for p in range(P)
-        ]
-        return int(sum(ray.get(changed_refs)))
+        (#vertices whose label changed, carry: the label chunks)."""
+        outs = self.gather("shard_gather_label_counts", self._chunks(carry),
+                           weighted)
+        return self.combine("owner_combine_mode", outs=outs)
 
     # -- owner-resident Jones–Plassmann orchestration --------------------
 
@@ -615,55 +628,35 @@ class ShardPool:
         ray.get([self.actors[p].owner_jp_state_init.remote(n, p, *cnt_outs)
                  for p in range(P)])
 
+    # JP and MIS rounds: owners return (count, part); the driver sums
+    # the P counts and hands the P part refs to the next round.
+
     def jp_color_first(self):
         """Round 1: color the zero-counter vertices; returns
-        (#colored, (ids, colors) pair ref)."""
-        refs = [a.owner_jp_color_first.remote() for a in self.actors]
-        return self._counted(refs)
+        (#colored, the owners' (ids, colors) part refs)."""
+        return self.combine("owner_jp_color_first")
 
-    def jp_color_round(self, pair_ref, rnd: int):
+    def jp_color_round(self, pairs: list, rnd: int):
         """One change-driven coloring round; returns
-        (#colored, next pair ref)."""
-        P = len(self.actors)
-        outs = [a.shard_jp_color_delta.remote(self.bounds, pair_ref)
-                for a in self.actors]
-        refs = [self.actors[p].owner_jp_color_apply.remote(p, rnd, *outs)
-                for p in range(P)]
-        return self._counted(refs)
-
-    @staticmethod
-    def _counted(refs):
-        """(row count, ref of the assembled parts) — the driver derefs
-        only the count; the parts ship straight to the next round."""
-        import ray
-
-        cnt_ref, ref = assemble(refs, count=True)
-        return int(ray.get(cnt_ref)), ref
+        (#colored, next part refs)."""
+        return self.combine("owner_jp_color_apply", rnd, outs=self.gather(
+            "shard_jp_color_delta", pairs))
 
     def mis_first(self):
-        """Round 1 winners; returns (#winners, winner ids ref)."""
-        refs = [a.owner_mis_first.remote() for a in self.actors]
-        return self._counted(refs)
+        """Round 1 winners; returns (#winners, winner id part refs)."""
+        return self.combine("owner_mis_first")
 
-    def mis_win_round(self, dec_ids_ref, rnd: int):
-        """Apply decrements from last round's decided set; returns
-        (#new winners, winner ids ref)."""
-        P = len(self.actors)
-        outs = [a.shard_mis_dec.remote(self.bounds, dec_ids_ref)
-                for a in self.actors]
-        refs = [self.actors[p].owner_mis_apply.remote(p, rnd, *outs)
-                for p in range(P)]
-        return self._counted(refs)
+    def mis_win_round(self, decided: list, rnd: int):
+        """Apply decrements from last round's decided id parts;
+        returns (#new winners, winner id part refs)."""
+        return self.combine("owner_mis_apply", rnd, outs=self.gather(
+            "shard_mis_dec", decided))
 
-    def mis_exclude_round(self, win_ids_ref, rnd: int):
+    def mis_exclude_round(self, wins: list, rnd: int):
         """Mark undecided neighbors of this round's winners excluded;
-        returns (#excluded, excluded ids ref)."""
-        P = len(self.actors)
-        outs = [a.shard_nbr_ids.remote(self.bounds, win_ids_ref)
-                for a in self.actors]
-        refs = [self.actors[p].owner_mis_exclude.remote(p, rnd, *outs)
-                for p in range(P)]
-        return self._counted(refs)
+        returns (#excluded, excluded id part refs)."""
+        return self.combine("owner_mis_exclude", rnd, outs=self.gather(
+            "shard_nbr_ids", wins))
 
     def jp_finalize(self) -> tuple[int, int]:
         """Commit color/status + round into the generic owner vectors;
@@ -675,51 +668,28 @@ class ShardPool:
         return (int(sum(p[0] for p in parts)),
                 int(max(p[1] for p in parts)))
 
-    def bfs_step_sharded(self, depth: int,
-                         frontier_size: int | None = None) -> int:
-        """One sharded BFS superstep; returns #vertices newly reached.
+    def bfs_step_sharded(self, carry, depth: int,
+                         frontier_size: int | None = None):
+        """One sharded BFS superstep over the frontier at ``depth``
+        (carry: the owners' frontier id parts); returns (#vertices
+        newly reached, carry).
 
         Direction-optimized (reference ``bcc_bfs.cpp:542-567``): when the
         caller reports a small frontier (< n/8 vertices), only the
         frontier's own adjacency segments are touched — O(Σdeg(frontier))
-        via ``shard_bfs_topdown`` and no level broadcast — instead of
-        streaming all 2m messages. The full scan remains the bottom-up
-        mode for wide frontiers."""
-        import ray
+        — instead of streaming all 2m messages. The full scan remains
+        the bottom-up mode for wide frontiers."""
+        topdown = (self._frontier_capable and frontier_size is not None
+                   and frontier_size * 8 < self.n)
+        fr = self._chunks(carry, "owner_make_frontier_ids", float(depth))
+        return self.combine("owner_combine_bfs", float(depth),
+                            outs=self.gather("shard_bfs_step", fr, topdown))
 
-        P = len(self.actors)
-        if (self._frontier_capable and frontier_size is not None
-                and frontier_size * 8 < self.n):
-            fr_refs = [a.owner_make_frontier_ids.remote(float(depth))
-                       for a in self.actors]
-            fr_full = assemble(fr_refs)
-            outs = [a.shard_bfs_topdown.remote(self.bounds, fr_full)
-                    for a in self.actors]
-        else:
-            lvl_refs = [a.owner_get_state.remote() for a in self.actors]
-            lvl_full = assemble(lvl_refs)
-            outs = [a.shard_bfs_step.remote(self.bounds, lvl_full,
-                                            float(depth))
-                    for a in self.actors]
-        new_refs = [self.actors[p].owner_combine_bfs.remote(
-            p, float(depth), *outs) for p in range(P)]
-        return int(sum(ray.get(new_refs)))
-
-    def sssp_step(self) -> int:
+    def sssp_step(self, carry):
         """One min-plus superstep over owner-resident distances;
-        returns #vertices whose distance improved."""
-        import ray
-
-        P = len(self.actors)
-        dist_refs = [a.owner_get_state.remote() for a in self.actors]
-        dist_full = assemble(dist_refs)
-        outs = [a.shard_gather_minplus.remote(self.bounds, dist_full)
-                for a in self.actors]
-        changed_refs = [
-            self.actors[p].owner_combine_min.remote(p, *outs)
-            for p in range(P)
-        ]
-        return int(sum(ray.get(changed_refs)))
+        returns (#vertices whose distance improved, carry)."""
+        return self.combine("owner_combine_min", outs=self.gather(
+            "shard_gather_minplus", self._chunks(carry)))
 
     def checkpoint_owners(self, ckpt_dir: str, algo: str, step: int,
                           extra_meta: dict | None = None,

@@ -12,7 +12,7 @@ so distances are exact integers in float64.
 
 Modes mirror CC: local numpy fixpoint, or the owner-resident
 distributed superstep on the shard pool for dense and sharded graphs
-alike (one assembled broadcast + range-split partials per step,
+alike (range-split partials over the owners' distance chunks per step,
 ``ShardPool.sssp_step``).
 """
 
@@ -64,8 +64,10 @@ def sssp(graph: Graph, source: int, config: EngineConfig | None = None,
         ray.get([a.owner_fill_state.remote(float("inf"))
                  for a in pool.actors])
         ray.get([a.owner_set_value.remote(src, 0.0) for a in pool.actors])
+        carry = None
         while changed and step < cfg.max_supersteps:
-            changed = pool.sssp_step() > 0
+            nch, carry = pool.sssp_step(carry)
+            changed = nch > 0
             step += 1
         out = graph.owner_scores(pool, "distance", cast=_distances)
     elapsed = time.perf_counter() - t0

@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.nputil import DictReader, splitmix
+from centrality_gpu_ray.nputil import concat_chunks as _concat
 from centrality_gpu_ray.nputil import ragged_arange as _ragged
 
 
@@ -250,6 +251,11 @@ def _split_sorted(bounds: np.ndarray, ids: np.ndarray, *cols):
                  for i in range(len(bounds) - 1))
 
 
+def _counted(part):
+    """(row count, part): an owner round's (scalar, next carry)."""
+    return len(part[0] if isinstance(part, tuple) else part), part
+
+
 def _fold_partials(lo: int, hi: int, my_idx: int, outs,
                    dtype=np.int64) -> np.ndarray:
     """Owner ``my_idx``'s [lo, hi) chunk summed from the shards' range
@@ -387,12 +393,11 @@ class EdgeShard:
         self.alt_u = self.alt_uniq_v = self.alt_seg = None
         return True
 
-    def shard_gather_min_alt(self, bounds: np.ndarray,
-                             lab: np.ndarray):
+    def shard_gather_min_alt(self, bounds: np.ndarray, *labs):
         """``shard_gather_min`` over the secondary edge set (no
         replica tiling — alt sets are always plain)."""
         return _range_split_min(self.alt_u, self.alt_seg,
-                                self.alt_uniq_v, 1, bounds, lab)
+                                self.alt_uniq_v, 1, bounds, _concat(labs))
 
     def weight_profile(self) -> tuple[bool, float]:
         """(all weights positive integers, max weight) — one-time
@@ -464,10 +469,10 @@ class EdgeShard:
         return True
 
     def shard_gather_label_counts(self, bounds: np.ndarray,
-                                  labels: np.ndarray, weighted: bool):
+                                  weighted: bool, *chunks):
         """Range-split (v, label, count) partials for mode-LP from
-        the resident layout (labels arrive as ONE assembled plasma
-        object)."""
+        the resident layout over the owners' label chunks."""
+        labels = _concat(chunks)
         if self.u.size == 0:
             z = np.empty(0, dtype=np.int64)
             return tuple((z, z, z) for _ in range(len(bounds) - 1))
@@ -484,11 +489,11 @@ class EdgeShard:
                       cnt[cuts[i]:cuts[i + 1]])
                      for i in range(len(bounds) - 1))
 
-    def owner_combine_mode(self, my_idx: int, *shard_outs) -> int:
+    def owner_combine_mode(self, my_idx: int, *shard_outs):
         """Mode-LP combine for this owner's range: merge the shards'
         (v, label, count) partials, pick argmax with the engine's
         tie-break (keep current on tie, else max count then min
-        label)."""
+        label). Returns (#changed, next carry: the label chunk)."""
         vs, ls, cs = [], [], []
         for out in shard_outs:
             v, l, c = out[my_idx]
@@ -497,7 +502,7 @@ class EdgeShard:
             cs.append(c)
         v = np.concatenate(vs)
         if v.size == 0:
-            return 0
+            return 0, self.state
         lab = np.concatenate(ls)
         cnt0 = np.concatenate(cs)
         # merge duplicates across shards via packed (v, label) keys
@@ -509,9 +514,7 @@ class EdgeShard:
         lab_m = uniq & np.int64((1 << 32) - 1)
         current = self.state.astype(np.int64)
         new = _pick_labels(v_rel, lab_m, cnt, current)
-        changed = int(np.count_nonzero(new != current))
-        self.state = new.astype(np.float64)
-        return changed
+        return self._changed(new.astype(np.float64)), self.state
 
     # -- change-driven mode-LP (owner-resident count state) ----------
     # Full-count supersteps stream all 2m messages every round even
@@ -530,13 +533,12 @@ class EdgeShard:
 
     _LAB_MASK = np.int64((1 << 32) - 1)
 
-    def shard_lp_delta(self, bounds: np.ndarray, triple,
-                       weighted: bool):
+    def shard_lp_delta(self, bounds: np.ndarray, weighted: bool,
+                       *triples):
         """Range-split (v, label, ±delta) partials from the changed
-        vertices' adjacency segments. ``triple`` = one assembled
-        plasma object (sorted changed dense ids, old labels, new
-        labels)."""
-        changed, old_lab, new_lab = triple
+        vertices' adjacency segments. ``triples``: the owners'
+        (sorted changed dense ids, old labels, new labels)."""
+        changed, old_lab, new_lab = _concat(triples)
         z = np.empty(0, dtype=np.int64)
         empty = tuple((z, z, z) for _ in range(len(bounds) - 1))
         if self.u.size == 0 or changed.size == 0:
@@ -565,7 +567,8 @@ class EdgeShard:
     def owner_lp_init_resident(self, my_idx: int, *shard_outs):
         """Build this range's resident LP count table from the
         shards' full (v, label, count) partials, then run the first
-        decide; returns the changed (ids, old, new) triple."""
+        decide; returns (#changed, the changed (ids, old, new)
+        triple)."""
         vs, ls, cs = [], [], []
         for out in shard_outs:
             v, l, c = out[my_idx]
@@ -577,20 +580,21 @@ class EdgeShard:
         if v.size == 0:
             self.lp_keys = z
             self.lp_cnt = z.copy()
-            return z, z, z
+            return _counted((z, z, z))
         lab = np.concatenate(ls)
         cnt0 = np.concatenate(cs)
         key = ((v - self.lo).astype(np.int64) << np.int64(32)) | lab
         uniq, inv = np.unique(key, return_inverse=True)
         self.lp_keys = uniq
         self.lp_cnt = np.bincount(inv, weights=cnt0).astype(np.int64)
-        return self._lp_decide(np.unique(uniq >> np.int64(32)))
+        return _counted(self._lp_decide(np.unique(uniq >> np.int64(32))))
 
     def owner_lp_apply(self, my_idx: int, *delta_outs):
         """Fold the shards' count deltas into the resident table
         (sorted-merge: in-place adds for existing keys, merge-insert
         for fresh ones — both O(deltas), not O(table)), then
-        re-decide only the touched vertices."""
+        re-decide only the touched vertices. Returns (#changed, the
+        changed triple)."""
         vs, ls, ds = [], [], []
         for out in delta_outs:
             v, l, d = out[my_idx]
@@ -600,7 +604,7 @@ class EdgeShard:
         v = np.concatenate(vs)
         z = np.empty(0, dtype=np.int64)
         if v.size == 0:
-            return z, z, z
+            return _counted((z, z, z))
         lab = np.concatenate(ls)
         d0 = np.concatenate(ds)
         key0 = ((v - self.lo).astype(np.int64) << np.int64(32)) | lab
@@ -622,7 +626,7 @@ class EdgeShard:
         if not nzm.all():
             self.lp_keys = self.lp_keys[nzm]
             self.lp_cnt = self.lp_cnt[nzm]
-        return self._lp_decide(np.unique(key >> np.int64(32)))
+        return _counted(self._lp_decide(np.unique(key >> np.int64(32))))
 
     def _lp_decide(self, touched_rel: np.ndarray):
         """Argmax-with-tie-break over the touched vertices' resident
@@ -788,18 +792,18 @@ class EdgeShard:
         return True
 
     def owner_core_round(self, k: int, rnd: int, my_idx: int,
-                         *dec_outs) -> np.ndarray:
-        """Fold the decrements, then peel (``_core_peel``); returns the
-        dense ids peeled in round ``rnd``."""
+                         *dec_outs):
+        """Fold the decrements, then peel (``_core_peel``); returns
+        (#peeled, the dense ids peeled in round ``rnd``)."""
         peel = _core_peel(self.core_cnt, self.core_round, k, rnd,
                           [out[my_idx] for out in dec_outs], self.lo)
-        return peel + self.lo
+        return _counted(peel + self.lo)
 
-    def shard_core_dec(self, bounds: np.ndarray, ids: np.ndarray):
+    def shard_core_dec(self, bounds: np.ndarray, *ids):
         """Per-range degree decrements from last round's peeled
         vertices, one per incident edge (``shard_mis_dec`` without the
         priority test)."""
-        nbr = self._frontier_segments(ids)[0]
+        nbr = self._frontier_segments(_concat(ids))[0]
         return _split_sorted(bounds, *self._dec_partial(nbr))
 
     def owner_core_finalize(self) -> np.ndarray:
@@ -878,12 +882,12 @@ class EdgeShard:
                       cnt[cuts[i]:cuts[i + 1]])
                      for i in range(len(bounds) - 1))
 
-    def shard_jp_color_delta(self, bounds: np.ndarray, pair):
+    def shard_jp_color_delta(self, bounds: np.ndarray, *pairs):
         """Per-range (dec vertex, dec count, mark vertex, color)
         partials from the newly-colored vertices' adjacency
         segments: decrements for lower-pri→higher-pri edges, plus
         distinct (neighbor, color) marks for the mex sets."""
-        ids, cols = pair
+        ids, cols = _concat(pairs)
         z = np.empty(0, dtype=np.int64)
         empty = tuple((z, z, z, z) for _ in range(len(bounds) - 1))
         if self.u.size == 0 or ids.size == 0:
@@ -915,9 +919,10 @@ class EdgeShard:
         uv, cnts = np.unique(targets, return_counts=True)
         return uv, cnts.astype(np.int64)
 
-    def shard_mis_dec(self, bounds: np.ndarray, ids: np.ndarray):
+    def shard_mis_dec(self, bounds: np.ndarray, *parts):
         """Per-range decrement partials from newly-DECIDED vertices
         (MIS winners + exclusions of the previous round)."""
+        ids = _concat(parts)
         nbr, counts, hit, _ = self._frontier_segments(ids)
         u_ids = np.repeat(ids[hit], counts)
         return _split_sorted(bounds, *self._dec_partial(
@@ -942,9 +947,10 @@ class EdgeShard:
         return _topf_per_src(src, nbr,
                              _edge_rank(src, nbr, seed, layer), f)
 
-    def shard_nbr_ids(self, bounds: np.ndarray, ids: np.ndarray):
+    def shard_nbr_ids(self, bounds: np.ndarray, *parts):
         """Per-range distinct neighbor ids of the given vertices
         (MIS winner→exclusion marking)."""
+        ids = _concat(parts)
         z = np.empty(0, dtype=np.int64)
         if self.u.size == 0 or ids.size == 0:
             return tuple(z for _ in range(len(bounds) - 1))
@@ -991,14 +997,16 @@ class EdgeShard:
         return ready + self.lo, mex
 
     def owner_jp_color_first(self, rnd: int = 1):
-        """Round 1: color every vertex with no lower-pri neighbor."""
-        return self._jp_ready_mex(np.flatnonzero(self.jp_cnt == 0),
-                                  rnd)
+        """Round 1: color every vertex with no lower-pri neighbor;
+        returns (#colored, (ids, colors))."""
+        return _counted(self._jp_ready_mex(
+            np.flatnonzero(self.jp_cnt == 0), rnd))
 
-    def owner_jp_color_apply(self, my_idx: int, rnd: int,
+    def owner_jp_color_apply(self, rnd: int, my_idx: int,
                              *delta_outs):
         """Fold decrements + color marks from the previous round's
-        colorings, then color the newly-ready vertices."""
+        colorings, then color the newly-ready vertices; returns
+        (#colored, (ids, colors))."""
         vds, dcs, vss, css = [], [], [], []
         for out in delta_outs:
             vd, dc, vs, cs = out[my_idx]
@@ -1027,19 +1035,20 @@ class EdgeShard:
                                          key[~hit])
         cand = np.unique(vd - self.lo) if vd.size \
             else np.empty(0, dtype=np.int64)
-        return self._jp_ready_mex(cand, rnd)
+        return _counted(self._jp_ready_mex(cand, rnd))
 
     def owner_mis_first(self, rnd: int = 1):
         """Round 1 winners: every vertex with no lower-pri
-        neighbor joins the MIS."""
+        neighbor joins the MIS; returns (#winners, their ids)."""
         win = np.flatnonzero(self.jp_cnt == 0)
         self.jp_color[win] = 1
         self.jp_round[win] = rnd
-        return win + self.lo
+        return _counted(win + self.lo)
 
-    def owner_mis_apply(self, my_idx: int, rnd: int, *dec_outs):
+    def owner_mis_apply(self, rnd: int, my_idx: int, *dec_outs):
         """Fold decrements from last round's decided vertices; the
-        undecided whose counter hits 0 join the MIS."""
+        undecided whose counter hits 0 join the MIS. Returns
+        (#winners, their ids)."""
         vds, dcs = [], []
         for out in dec_outs:
             vd, dc = out[my_idx]
@@ -1047,29 +1056,29 @@ class EdgeShard:
             dcs.append(dc)
         vd = np.concatenate(vds)
         if vd.size == 0:
-            return np.empty(0, dtype=np.int64)
+            return _counted(vd)
         np.add.at(self.jp_cnt, vd - self.lo, -np.concatenate(dcs))
         cand = np.unique(vd - self.lo)
         win = cand[(self.jp_color[cand] < 0)
                    & (self.jp_cnt[cand] == 0)]
         self.jp_color[win] = 1
         self.jp_round[win] = rnd
-        return win + self.lo
+        return _counted(win + self.lo)
 
-    def owner_mis_exclude(self, my_idx: int, rnd: int, *nbr_outs):
+    def owner_mis_exclude(self, rnd: int, my_idx: int, *nbr_outs):
         """Mark undecided neighbors of this round's winners
-        excluded; returns their dense ids (next round's decrement
-        sources alongside the winners)."""
+        excluded; returns (#excluded, their dense ids) — next
+        round's decrement sources alongside the winners."""
         parts = [out[my_idx] for out in nbr_outs]
         nb = np.concatenate(parts) if parts \
             else np.empty(0, dtype=np.int64)
         if nb.size == 0:
-            return nb
+            return _counted(nb)
         rel = np.unique(nb - self.lo)
         excl = rel[self.jp_color[rel] < 0]
         self.jp_color[excl] = 0
         self.jp_round[excl] = rnd
-        return excl + self.lo
+        return _counted(excl + self.lo)
 
     # -- owner-resident SGNS model chunks (>10M-node trainer) --------
     # The dense SGNS trainer holds both (n, d) model matrices on
@@ -1137,27 +1146,6 @@ class EdgeShard:
     def owner_get_aux(self) -> np.ndarray:
         return self.aux
 
-    def shard_bfs_step(self, bounds: np.ndarray, level: np.ndarray,
-                       depth: float):
-        """Range-split (v, min candidate parent) partials for the
-        frontier at ``depth`` (level vector arrives assembled)."""
-        z = np.empty(0, dtype=np.int64)
-        if self.u.size == 0:
-            return tuple((z, z) for _ in range(len(bounds) - 1))
-        mask = (level[self.u] == depth) & (level[self.v] < 0)
-        if not mask.any():
-            return tuple((z, z) for _ in range(len(bounds) - 1))
-        v = self.v[mask].astype(np.int64)
-        u = self.u[mask].astype(np.int64)
-        order = np.lexsort((u, v))
-        v, u = v[order], u[order]
-        first = np.ones(v.size, dtype=bool)
-        first[1:] = v[1:] != v[:-1]
-        v, u = v[first], u[first]
-        cuts = np.searchsorted(v, bounds)
-        return tuple((v[cuts[i]:cuts[i + 1]], u[cuts[i]:cuts[i + 1]])
-                     for i in range(len(bounds) - 1))
-
     # -- direction-optimized (top-down) frontier kernels --------------
     # The reference's Beamer α/β switch (bcc_bfs.cpp:542-567): when
     # the frontier is small, touching only the frontier's incident
@@ -1183,17 +1171,27 @@ class EdgeShard:
         idx = np.repeat(starts, counts) + _ragged(counts)
         return self.u[idx].astype(np.int64), counts, hit, idx
 
-    def shard_bfs_topdown(self, bounds: np.ndarray,
-                          frontier: np.ndarray):
-        """Range-split (v, min candidate parent) partials from the
-        frontier's own adjacency segments. The unvisited test runs
-        owner-side (owner_combine_bfs ignores state >= 0), so only
-        the small frontier id array ships — no level broadcast."""
+    def shard_bfs_step(self, bounds: np.ndarray, topdown: bool,
+                       *frontier):
+        """Range-split (v, min candidate parent) partials over the
+        messages out of the frontier (the owners' sorted id parts):
+        ``topdown`` reads only the frontier's own adjacency segments,
+        otherwise one masked scan of every message. The unvisited
+        test runs owner-side (owner_combine_bfs ignores state >= 0),
+        so only frontier ids ship — no level vector."""
+        frontier = _concat(frontier)
         z = np.empty(0, dtype=np.int64)
         if self.u.size == 0 or frontier.size == 0:
             return tuple((z, z) for _ in range(len(bounds) - 1))
-        nbr, counts, hit, _ = self._frontier_segments(frontier)
-        par = np.repeat(frontier[hit], counts)
+        if topdown:
+            nbr, counts, hit, _ = self._frontier_segments(frontier)
+            par = np.repeat(frontier[hit], counts)
+        else:
+            on = np.zeros(int(bounds[-1]), dtype=bool)
+            on[frontier] = True
+            m = on[self.u]
+            nbr = self.v[m].astype(np.int64)
+            par = self.u[m].astype(np.int64)
         if nbr.size == 0:
             return tuple((z, z) for _ in range(len(bounds) - 1))
         order = np.lexsort((par, nbr))
@@ -1233,7 +1231,7 @@ class EdgeShard:
 
     def owner_make_frontier_ids(self, depth: float) -> np.ndarray:
         """Dense ids of this range's vertices at ``depth`` (sorted;
-        owner ranges are ascending, so the assembled concat is the
+        owner ranges are ascending, so the shards' concat is the
         globally sorted frontier)."""
         return np.flatnonzero(self.state == depth) + self.lo
 
@@ -1246,20 +1244,22 @@ class EdgeShard:
         sig = self.b_sigma[idx]
         return idx + self.lo, (1.0 + self.b_delta[idx]) / sig
 
-    def owner_combine_bfs(self, my_idx: int, depth: float,
-                          *shard_outs) -> int:
+    def owner_combine_bfs(self, depth: float, my_idx: int,
+                          *shard_outs):
         """Adopt newly-reached vertices in this range: level ←
-        depth+1, parent ← min candidate across shards."""
+        depth+1, parent ← min candidate across shards. Returns
+        (#reached, their dense ids — the next frontier part)."""
         width = self.hi - self.lo
         best = np.full(width, np.iinfo(np.int64).max, dtype=np.int64)
         for out in shard_outs:
             v, u = out[my_idx]
             idx = v - self.lo
             best[idx] = np.minimum(best[idx], u)
-        fresh = (best < np.iinfo(np.int64).max) & (self.state < 0)
+        fresh = np.flatnonzero((best < np.iinfo(np.int64).max)
+                               & (self.state < 0))
         self.state[fresh] = depth + 1
         self.aux[fresh] = best[fresh]
-        return int(fresh.sum())
+        return _counted(fresh + self.lo)
 
     _CKPT_VECTORS = {"state": "state", "bc": "b_bc"}
 
@@ -1301,51 +1301,59 @@ class EdgeShard:
         return self.state
 
     def owner_make_w_mass(self):
-        """(contribution chunk, [dangling mass]) in one call/object."""
+        """(contribution chunk, [dangling mass]): an owner's PageRank
+        carry, one object."""
         return (self.state * self.inv_deg,
                 np.array([self.state[self.dangling_local].sum()]))
 
-    def owner_combine_pr(self, teleport: float, masses: np.ndarray,
-                         n: int, alpha: float, my_idx: int,
-                         *shard_outs) -> float:
-        """`shard_outs` are the P shards' full range-split output
-        tuples (zero-copy plasma views); this owner consumes slot
-        ``my_idx`` of each. One object per shard instead of P
-        (P² tiny objects per superstep was a measured fixed cost).
-        ``masses`` are the owners' dangling masses, summed here in
-        owner order."""
-        dangling_term = sum(masses.tolist()) / n
-        new = np.zeros(self.hi - self.lo, dtype=np.float64)
-        # each part's uniq_v is unique+sorted within the part, so
-        # fancy-index += is exact (and ~10x faster than np.add.at's
-        # unbuffered scatter); fixed shard order → deterministic
+    def _gathered(self, my_idx: int, shard_outs) -> np.ndarray:
+        """This range's chunk summed from slot ``my_idx`` of the P
+        shards' range-split outputs (zero-copy plasma views; one
+        object per shard, since P² tiny objects per superstep were a
+        measured fixed cost). Each part's uniq_v is unique+sorted, so
+        fancy-index += is exact (and ~10x faster than np.add.at's
+        unbuffered scatter); fixed shard order → deterministic."""
+        acc = np.zeros(self.hi - self.lo, dtype=np.float64)
         for out in shard_outs:
             uniq_v, sums = out[my_idx]
-            new[uniq_v - self.lo] += sums
-        new = teleport + alpha * (new + dangling_term)
+            acc[uniq_v - self.lo] += sums
+        return acc
+
+    def _commit(self, new: np.ndarray) -> float:
+        """Make ``new`` the state; returns the local L1 delta."""
         delta = float(np.abs(new - self.state).sum())
         self.state = new
         return delta
+
+    def _changed(self, new: np.ndarray) -> int:
+        """Make ``new`` the state; returns how many entries moved."""
+        changed = int(np.count_nonzero(new != self.state))
+        self.state = new
+        return changed
+
+    def owner_combine_pr(self, teleport: float, n: int, alpha: float,
+                         my_idx: int, *shard_outs):
+        """PageRank combine; the owners' dangling masses ride in the
+        shards' last slot (``shard_gather_pr``) and are summed here
+        in owner order. Returns (local L1 delta, next carry)."""
+        dangling_term = sum(shard_outs[0][-1].tolist()) / n
+        new = teleport + alpha * (self._gathered(my_idx, shard_outs)
+                                  + dangling_term)
+        return self._commit(new), self.owner_make_w_mass()
 
     def owner_combine_accum(self, my_idx: int, *shard_outs) -> float:
-        """Assemble this range's raw gather chunk (no scaling) and
-        return its local sum — phase 1 of a normalized power-
-        iteration superstep (the global Σy needs all owners)."""
-        acc = np.zeros(self.hi - self.lo, dtype=np.float64)
-        for out in shard_outs:  # uniq_v unique per part
-            uniq_v, sums = out[my_idx]
-            acc[uniq_v - self.lo] += sums
-        self._pending = acc
-        return float(acc.sum())
+        """Hold this range's raw gather chunk (no scaling) and return
+        its local sum — phase 1 of a normalized power-iteration
+        superstep (the global Σy needs all owners)."""
+        self._pending = self._gathered(my_idx, shard_outs)
+        return float(self._pending.sum())
 
-    def owner_scale_pending(self, total: float) -> float:
-        """Phase 2: normalize the pending chunk by the global sum,
-        commit it as the new state, return the local L1 delta."""
+    def owner_scale_pending(self, total: float):
+        """Phase 2: normalize the pending chunk by the global sum and
+        commit it; returns (local L1 delta, next carry)."""
         new = self._pending / total
         self._pending = None
-        delta = float(np.abs(new - self.state).sum())
-        self.state = new
-        return delta
+        return self._commit(new), new
 
     def owner_drop_pending(self) -> bool:
         """Discard an uncommitted phase-1 chunk (degenerate gather:
@@ -1765,78 +1773,69 @@ class EdgeShard:
         self.state = tele.copy()
         return True
 
-    def owner_combine_ppr(self, masses: np.ndarray, alpha: float,
-                          my_idx: int, *shard_outs) -> float:
+    def owner_combine_ppr(self, alpha: float, my_idx: int,
+                          *shard_outs):
         """PPR combine: teleport/dangling mass follow the resident
         teleport chunk instead of the uniform 1/n scalar."""
-        dangling_mass = sum(masses.tolist())
-        new = np.zeros(self.hi - self.lo, dtype=np.float64)
-        for out in shard_outs:
-            uniq_v, sums = out[my_idx]
-            new[uniq_v - self.lo] += sums
+        dangling_mass = sum(shard_outs[0][-1].tolist())
         new = ((1.0 - alpha) * self.tele
-               + alpha * (new + dangling_mass * self.tele))
-        delta = float(np.abs(new - self.state).sum())
-        self.state = new
-        return delta
+               + alpha * (self._gathered(my_idx, shard_outs)
+                          + dangling_mass * self.tele))
+        return self._commit(new), self.owner_make_w_mass()
 
-    def owner_affine_pending(self, alpha: float, beta: float) -> float:
-        """Phase 2 (Katz variant): commit β + α·pending as the new
-        state, return the local L1 delta (no global normalization)."""
-        new = beta + alpha * self._pending
-        self._pending = None
-        delta = float(np.abs(new - self.state).sum())
-        self.state = new
-        return delta
+    def owner_combine_katz(self, alpha: float, beta: float, my_idx: int,
+                           *shard_outs):
+        """Katz combine x ← β + α·(gathered chunk), no global
+        normalization; returns (local L1 delta, next carry)."""
+        new = beta + alpha * self._gathered(my_idx, shard_outs)
+        return self._commit(new), new
 
-    def owner_combine_min(self, my_idx: int, *shard_outs) -> int:
+    def _min_folded(self, my_idx: int, shard_outs) -> np.ndarray:
         new = self.state.copy()
         for out in shard_outs:  # uniq_v unique per part
             uniq_v, mins = out[my_idx]
             idx = uniq_v - self.lo
             new[idx] = np.minimum(new[idx], mins)
-        changed = int(np.count_nonzero(new != self.state))
-        self.state = new
-        return changed
+        return new
 
-    def owner_combine_min_jump(self, lab_full: np.ndarray,
-                               my_idx: int, *shard_outs) -> int:
+    def owner_combine_min(self, my_idx: int, *shard_outs):
+        """Min-plus combine (SSSP); returns (#improved, next carry)."""
+        new = self._min_folded(my_idx, shard_outs)
+        return self._changed(new), new
+
+    def owner_combine_min_jump(self, my_idx: int, *outs_and_labs):
         """Min-label combine + POINTER JUMP (lab ← lab[lab]) for CC:
-        labels are dense vertex ids, and lab_full is the superstep's
-        assembled (pre-update) label vector, so one extra gather per
-        superstep contracts label distances geometrically —
-        O(log n) supersteps instead of O(diameter). Labels only
-        decrease toward the same min-id fixpoint, so results are
-        identical; only the superstep count changes. (SSSP keeps
-        the plain combine — distances are not ids.)"""
-        new = self.state.copy()
-        for out in shard_outs:
-            uniq_v, mins = out[my_idx]
-            idx = uniq_v - self.lo
-            new[idx] = np.minimum(new[idx], mins)
-        new = np.minimum(new, lab_full[new.astype(np.int64)])
-        changed = int(np.count_nonzero(new != self.state))
-        self.state = new
-        return changed
+        the P shard outputs come first, then the superstep's P
+        (pre-update) owner label chunks. Labels are dense vertex ids,
+        so one extra gather per superstep contracts label distances
+        geometrically — O(log n) supersteps instead of O(diameter).
+        Labels only decrease toward the same min-id fixpoint, so
+        results are identical; only the superstep count changes.
+        (SSSP keeps the plain combine — distances are not ids.)
+        Returns (#changed, next carry)."""
+        P = len(outs_and_labs) // 2
+        new = self._min_folded(my_idx, outs_and_labs[:P])
+        new = np.minimum(new, _concat(outs_and_labs[P:])[
+            new.astype(np.int64)])
+        return self._changed(new), new
 
     # -- shard role: range-split gathers -----------------------------
-    # The full state vector arrives as ONE plasma object (assembled
-    # once per superstep by a single task, the per-node analog of
-    # "one object-store copy per node"); every shard reads it
-    # ZERO-COPY via arg auto-deref, so all shard processes gather
-    # from the SAME physical pages. The previous design had each
-    # shard privately np.concatenate its own copy — P private copies
-    # of the state thrashed the shared L3 and flat-lined 2→8 CPU
-    # scaling (profiled: gather 0.28s at P=2 vs 0.29s at P=6).
+    # A superstep's state vector arrives as the P owners' chunks
+    # (varargs, auto-deref'd zero-copy) and each shard joins them
+    # into a private copy (``_concat``): no assemble task sits
+    # between the owners and the shards, so a superstep is two
+    # dependent hops. The Brandes/WBC passes still hand over ONE
+    # assembled object, which passes through uncopied.
 
     def shard_gather_sum(self, bounds: np.ndarray, weighted: bool,
-                         w: np.ndarray):
+                         *chunks):
         # segment-aligned chunking keeps the gathered message vector
         # c cache-resident instead of round-tripping it through DRAM
         # (write 8B + reduceat re-read 8B per message saved).
         # w may be (n,) single-state or (n, b) source-batched — the
         # gather then pulls b CONTIGUOUS floats per message and the
         # reduceat runs along axis 0; all shapes below are generic.
+        w = _concat(chunks)
         tail = tuple(w.shape[1:])
         if self.u.size == 0:
             sums = np.empty((0,) + tail, dtype=np.float64)
@@ -1865,6 +1864,14 @@ class EdgeShard:
         return tuple((self.uniq_v[cuts[i]:cuts[i + 1]],
                       sums[cuts[i]:cuts[i + 1]])
                      for i in range(len(bounds) - 1))
+
+    def shard_gather_pr(self, bounds: np.ndarray, weighted: bool,
+                        *chunks):
+        """``shard_gather_sum`` over the owners' (rank/deg chunk,
+        [dangling mass]) carries; the owner-ordered masses ride along
+        as one slot past the P parts."""
+        w, masses = _concat(chunks)
+        return self.shard_gather_sum(bounds, weighted, w) + (masses,)
 
     def shard_gather_wdag_sum(self, bounds: np.ndarray,
                               dist: np.ndarray, x: np.ndarray,
@@ -1913,10 +1920,11 @@ class EdgeShard:
                       sums[cuts[i]:cuts[i + 1]])
                      for i in range(len(bounds) - 1))
 
-    def shard_gather_minplus(self, bounds: np.ndarray, dist: np.ndarray):
+    def shard_gather_minplus(self, bounds: np.ndarray, *chunks):
         """Min-plus gather (weighted SSSP superstep): per dst the
         min of dist[src] + edge weight. ``dist`` may be (n,) or
         source-batched (n, b)."""
+        dist = _concat(chunks)
         tail = tuple(dist.shape[1:])
         if self.u.size == 0:
             z = np.empty(0, dtype=np.int64)
@@ -1943,9 +1951,9 @@ class EdgeShard:
                       mins[cuts[i]:cuts[i + 1]])
                      for i in range(len(bounds) - 1))
 
-    def shard_gather_min(self, bounds: np.ndarray, lab: np.ndarray):
+    def shard_gather_min(self, bounds: np.ndarray, *labs):
         return _range_split_min(self.u, self.seg, self.uniq_v,
-                                self.rep_fold, bounds, lab)
+                                self.rep_fold, bounds, _concat(labs))
 
 
 _REMOTE = None

@@ -119,7 +119,7 @@ def main():
     lp_sec = time.perf_counter() - t0
     lp_full_changed = None
     if m_lp.get("converged"):
-        lp_full_changed = g.pool.lp_step(weighted=True)
+        lp_full_changed, _ = g.pool.lp_step(None, weighted=True)
         assert lp_full_changed == 0, \
             "converged LP fails the full-recompute fixpoint check"
 

@@ -59,11 +59,9 @@ _GUARD = textwrap.dedent("""
     for i, a in enumerate(sh):
         a.owner_init_from_parts(*lo_hi[i], bounds, n, i, *deg_outs)
     wm = [a.owner_make_w_mass() for a in sh]
-    w_full = np.concatenate([x[0] for x in wm])
-    mass = sum(x[1] for x in wm)
-    outs = [a.shard_gather_sum(bounds, False, w_full) for a in sh]
+    outs = [a.shard_gather_pr(bounds, False, *wm) for a in sh]
     for i, a in enumerate(sh):
-        a.owner_combine_pr(0.15 / n, mass, n, 0.85, i, *outs)
+        a.owner_combine_pr(0.15 / n, n, 0.85, i, *outs)
     pr = np.concatenate([a.owner_get_state() for a in sh])
 
     # checkpoint write of the PageRank chunks
@@ -74,8 +72,8 @@ _GUARD = textwrap.dedent("""
     for i, a in enumerate(sh):
         a.owner_set_range(*lo_hi[i])
         a.owner_init_labels()
-    labels = np.arange(n, dtype=np.float64)
-    outs = [a.shard_gather_label_counts(bounds, labels, False) for a in sh]
+    labels = [a.owner_get_state() for a in sh]
+    outs = [a.shard_gather_label_counts(bounds, False, *labels) for a in sh]
     for i, a in enumerate(sh):
         a.owner_lp_init_resident(i, *outs)
     lp = np.concatenate([a.owner_get_state() for a in sh])
@@ -112,11 +110,11 @@ _GUARD = textwrap.dedent("""
         a.owner_core_init(*lo_hi[i], i, *deg_outs)
     rnd, decs = 0, []
     while True:
-        ids = np.concatenate([a.owner_core_round(4, rnd, i, *decs)
-                              for i, a in enumerate(sh)])
-        if ids.size == 0:
+        counts, ids = zip(*[a.owner_core_round(4, rnd, i, *decs)
+                            for i, a in enumerate(sh)])
+        if sum(counts) == 0:
             break
-        decs = [a.shard_core_dec(bounds, ids) for a in sh]
+        decs = [a.shard_core_dec(bounds, *ids) for a in sh]
         rnd += 1
     for a in sh:
         a.owner_core_finalize()
@@ -148,29 +146,27 @@ _GUARD = textwrap.dedent("""
                 np.concatenate([a.owner_get_aux() for a in sh]).tolist())
 
     jp_setup()
-    win = np.concatenate([a.owner_mis_first() for a in sh])
+    win = [a.owner_mis_first()[1] for a in sh]
     rnd = 1
     while True:
-        outs = [a.shard_nbr_ids(bounds, win) for a in sh]
-        exc = np.concatenate([a.owner_mis_exclude(i, rnd, *outs)
-                              for i, a in enumerate(sh)])
-        if win.size + exc.size == 0:
+        outs = [a.shard_nbr_ids(bounds, *win) for a in sh]
+        exc = [a.owner_mis_exclude(rnd, i, *outs)[1]
+               for i, a in enumerate(sh)]
+        if sum(x.size for x in win + exc) == 0:
             break
         rnd += 1
-        dec = np.sort(np.concatenate([win, exc]))
-        outs = [a.shard_mis_dec(bounds, dec) for a in sh]
-        win = np.concatenate([a.owner_mis_apply(i, rnd, *outs)
-                              for i, a in enumerate(sh)])
+        outs = [a.shard_mis_dec(bounds, *win, *exc) for a in sh]
+        win = [a.owner_mis_apply(rnd, i, *outs)[1]
+               for i, a in enumerate(sh)]
     mis = jp_result()
 
     jp_setup()
-    parts = [a.owner_jp_color_first() for a in sh]
+    parts = [a.owner_jp_color_first()[1] for a in sh]
     rnd = 1
     while sum(p[0].size for p in parts):
         rnd += 1
-        pair = tuple(np.concatenate(c) for c in zip(*parts))
-        outs = [a.shard_jp_color_delta(bounds, pair) for a in sh]
-        parts = [a.owner_jp_color_apply(i, rnd, *outs)
+        outs = [a.shard_jp_color_delta(bounds, *parts) for a in sh]
+        parts = [a.owner_jp_color_apply(rnd, i, *outs)[1]
                  for i, a in enumerate(sh)]
     color = jp_result()
 
@@ -331,14 +327,18 @@ def _settled_store_bytes(limit: float = 10.0) -> int:
 
 
 def test_graph_and_pool_leave_no_store_bytes():
-    """Building a dense graph, spawning its pool and shutting both down
-    returns the object store to its baseline (a remap id vector used to
-    stay behind: n·8 + 248 bytes per graph); so does a sharded graph
-    that ran edge support, k-truss and k-core on its pool."""
+    """Building a dense graph, running PageRank, CC and LP on its pool
+    and shutting both down returns the object store to its baseline (a
+    remap id vector used to stay behind: n·8 + 248 bytes per graph; the
+    loops' carried owner chunks must go with their loop); so does a
+    sharded graph that ran edge support, k-truss and k-core on its
+    pool."""
     import pyarrow as pa
     import ray.data
 
     from centrality_gpu_ray.config import EngineConfig
+    from centrality_gpu_ray.pipelines import (
+        connected_components, label_propagation, pagerank)
     from centrality_gpu_ray.pipelines.graph import Graph
     from centrality_gpu_ray.pipelines.peel import peel
     from centrality_gpu_ray.pipelines.triangles import edge_support
@@ -353,6 +353,10 @@ def test_graph_and_pool_leave_no_store_bytes():
     for _ in range(2):
         g = Graph(ray.data.from_arrow(tbl), mode="distributed")
         assert g.num_vertices > 5000
+        for out in (pagerank(g), connected_components(g),
+                    label_propagation(g)):
+            assert out.num_rows == g.num_vertices
+        del out
         g.pool.shutdown()
         del g
         gc.collect()

@@ -390,7 +390,7 @@ def test_sharded_weighted_sampled_brandes_matches_dense():
 
 def test_sharded_bfs_direction_switch_matches_dense():
     """Force both gather directions: a path graph keeps every frontier
-    at size 1 (pure top-down ``shard_bfs_topdown``), a star jumps the
+    at size 1 (pure top-down ``shard_bfs_step``), a star jumps the
     frontier to n−1 after one step (full-scan bottom-up mode) — both
     must match the dense BFS exactly."""
     import ray.data
@@ -648,6 +648,13 @@ def test_sharded_single_source_sparse_brandes_matches_dense(graphs):
     assert np.allclose(mw["bc_d"], mw["bc_s"], atol=1e-9)
 
 
+def _cc(pool, alt=False):
+    """CC supersteps on ``pool`` until no label moves."""
+    changed, carry = pool.cc_step(None, alt)
+    while changed:
+        changed, carry = pool.cc_step(carry, alt)
+
+
 def test_alt_edge_set_cc_on_same_actors():
     """load_alt_edges + cc_step(alt=True): the SAME pool actors run a
     min-label CC over a secondary edge set (the BiCC aux-graph path)
@@ -667,8 +674,7 @@ def test_alt_edge_set_cc_on_same_actors():
     pool = ShardPool(ray.data.from_arrow(prim), num_shards=2)
     pool.setup_owners_sharded(n)
     pool.reset_labels()
-    while pool.cc_step() > 0:
-        pass
+    _cc(pool)
     prim_lab = np.concatenate(
         ray.get([a.owner_get_state.remote() for a in pool.actors]))
     assert set(prim_lab.astype(int)) == {0}
@@ -683,8 +689,7 @@ def test_alt_edge_set_cc_on_same_actors():
                         for a in pool.actors[1:]])
     assert sum(counts) == 3
     pool.reset_labels()
-    while pool.cc_step(alt=True) > 0:
-        pass
+    _cc(pool, alt=True)
     alt_lab = np.concatenate(
         ray.get([a.owner_get_state.remote() for a in pool.actors]))
     assert list(alt_lab.astype(int)) == [0, 0, 0, 3, 4, 4, 6, 7]
@@ -692,8 +697,7 @@ def test_alt_edge_set_cc_on_same_actors():
     # primary edge set is untouched: the full-graph CC still converges
     ray.get([a.drop_alt_edges.remote() for a in pool.actors])
     pool.reset_labels()
-    while pool.cc_step() > 0:
-        pass
+    _cc(pool)
     again = np.concatenate(
         ray.get([a.owner_get_state.remote() for a in pool.actors]))
     assert set(again.astype(int)) == {0}
