@@ -8,11 +8,11 @@ parent vectors on the shard pool (``ShardPool.bfs_step_sharded``, dense
 and sharded graphs alike). Per superstep each edge shard returns the
 min parent per newly reached neighbor and each range owner adopts the
 min across shards. A small frontier (< n/8) touches only its own
-adjacency segments (top-down); a wide one streams all messages against
-a frontier bitmap (bottom-up) — the α/β switch. Either way only the
-owners' frontier id parts ship, straight from one step's owners to the
-next step's shards. The serial
-fallback is the engine's ``local`` mode (whole edge table on the
+adjacency segments (top-down), with the owners' frontier id parts
+going straight from one step's owners to the next step's shards; a
+wide one streams all messages against the owners' level chunks and
+drops visited targets shard-side (bottom-up) — the α/β switch. The
+serial fallback is the engine's ``local`` mode (whole edge table on the
 driver). Both loops run until a level adds no vertex, so a long path
 is never cut short by ``max_supersteps``.
 

@@ -33,9 +33,7 @@ shard gathers (``gather``), each joining the P owner chunks itself →
 P owner combines (``combine``), each returning a scalar and the next
 step's chunk (``num_returns=2``) → the driver sums P scalars. The
 chunk refs (the carry) go from one step into the next step's gathers
-and live in the calling loop, never in the pool. The steps also
-submit an empty task at most every quarter second, not awaited, so Ray
-keeps its task workers (``_touch_task_workers``). ``assemble`` serves
+and live in the calling loop, never in the pool. ``assemble`` serves
 one-shot broadcasts only.
 
 On a multi-node cluster the pool spreads across nodes (one actor per
@@ -53,8 +51,6 @@ actors from their own modules (``triangles.py``, ``truss.py``,
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -123,41 +119,6 @@ def assemble(parts: list):
 
         _ASSEMBLE = _assemble
     return _ASSEMBLE.remote(*parts)
-
-
-_IDLE = None
-_IDLE_AT = 0.0
-# Ray reaps a task worker idle for over 1 s: one empty task per quarter
-# second keeps even two workers that take turns running it warm.
-_TOUCH_EVERY_S = 0.25
-
-
-def _touch_task_workers():
-    """Submit one empty task, at most every ``_TOUCH_EVERY_S``, and do
-    not wait for it. The raylet kills a task worker idle for over a
-    second while its registered workers, the pool's actors included,
-    exceed its soft limit (num_cpus); the next Ray Data execution then
-    starts fresh worker processes. Loops of actor calls alone let that
-    happen (median job_s +0.34 s on lineitem_cold, +0.87 s on
-    corpus_sharded, 1 vCPU, 2-CPU Ray); the empty tasks keep the task
-    workers alive, off the step's critical path. The function is nested
-    so that Ray ships it by value: a module-level one would make the
-    worker import this module and with it the whole ``pipelines``
-    package."""
-    global _IDLE, _IDLE_AT
-    now = time.monotonic()
-    if now - _IDLE_AT < _TOUCH_EVERY_S:
-        return
-    _IDLE_AT = now
-    if _IDLE is None:
-        import ray
-
-        @ray.remote(num_cpus=0)
-        def _idle():
-            return None
-
-        _IDLE = _idle
-    _IDLE.remote()
 
 
 class ShardPool:
@@ -263,17 +224,15 @@ class ShardPool:
         return [getattr(a, method).remote(self.bounds, *args, *chunks)
                 for a in self.actors]
 
-    def combine(self, method: str, *args, outs=None):
-        """P owner calls ``method(*args, p, *outs)`` — just
-        ``method(*args)`` when there are no shard outputs — each
-        returning (scalar, next chunk). Returns (Σ scalars, the P
-        next-chunk refs): the step's one driver sync."""
+    def combine(self, method: str, *args, outs=()):
+        """P owner calls ``method(*args, p, *outs)``, each returning
+        (scalar, next chunk). Returns (Σ scalars, the P next-chunk
+        refs): the step's one driver sync."""
         import ray
 
-        _touch_task_workers()
         scalars, chunks = zip(*[
             getattr(a, method).options(num_returns=2).remote(
-                *args, *(() if outs is None else (p, *outs)))
+                *args, p, *outs)
             for p, a in enumerate(self.actors)])
         return sum(ray.get(list(scalars))), list(chunks)
 
@@ -678,12 +637,17 @@ class ShardPool:
         caller reports a small frontier (< n/8 vertices), only the
         frontier's own adjacency segments are touched — O(Σdeg(frontier))
         — instead of streaming all 2m messages. The full scan remains
-        the bottom-up mode for wide frontiers."""
-        topdown = (self._frontier_capable and frontier_size is not None
-                   and frontier_size * 8 < self.n)
-        fr = self._chunks(carry, "owner_make_frontier_ids", float(depth))
-        return self.combine("owner_combine_bfs", float(depth),
-                            outs=self.gather("shard_bfs_step", fr, topdown))
+        the bottom-up mode for wide frontiers; it reads the owners'
+        level chunks (one more hop) so shards drop messages to visited
+        vertices, which on wide late levels are most of them."""
+        if (self._frontier_capable and frontier_size is not None
+                and frontier_size * 8 < self.n):
+            outs = self.gather("shard_bfs_topdown", self._chunks(
+                carry, "owner_make_frontier_ids", float(depth)))
+        else:
+            outs = self.gather("shard_bfs_bottomup", self._chunks(None),
+                               float(depth))
+        return self.combine("owner_combine_bfs", float(depth), outs=outs)
 
     def sssp_step(self, carry):
         """One min-plus superstep over owner-resident distances;

@@ -996,11 +996,12 @@ class EdgeShard:
         self.jp_round[ready] = rnd
         return ready + self.lo, mex
 
-    def owner_jp_color_first(self, rnd: int = 1):
+    def owner_jp_color_first(self, my_idx: int):
         """Round 1: color every vertex with no lower-pri neighbor;
-        returns (#colored, (ids, colors))."""
+        returns (#colored, (ids, colors)). ``my_idx`` is unused: no
+        shard outputs precede round 1."""
         return _counted(self._jp_ready_mex(
-            np.flatnonzero(self.jp_cnt == 0), rnd))
+            np.flatnonzero(self.jp_cnt == 0), 1))
 
     def owner_jp_color_apply(self, rnd: int, my_idx: int,
                              *delta_outs):
@@ -1037,12 +1038,13 @@ class EdgeShard:
             else np.empty(0, dtype=np.int64)
         return _counted(self._jp_ready_mex(cand, rnd))
 
-    def owner_mis_first(self, rnd: int = 1):
+    def owner_mis_first(self, my_idx: int):
         """Round 1 winners: every vertex with no lower-pri
-        neighbor joins the MIS; returns (#winners, their ids)."""
+        neighbor joins the MIS; returns (#winners, their ids).
+        ``my_idx`` is unused: no shard outputs precede round 1."""
         win = np.flatnonzero(self.jp_cnt == 0)
         self.jp_color[win] = 1
-        self.jp_round[win] = rnd
+        self.jp_round[win] = 1
         return _counted(win + self.lo)
 
     def owner_mis_apply(self, rnd: int, my_idx: int, *dec_outs):
@@ -1171,29 +1173,36 @@ class EdgeShard:
         idx = np.repeat(starts, counts) + _ragged(counts)
         return self.u[idx].astype(np.int64), counts, hit, idx
 
-    def shard_bfs_step(self, bounds: np.ndarray, topdown: bool,
-                       *frontier):
-        """Range-split (v, min candidate parent) partials over the
-        messages out of the frontier (the owners' sorted id parts):
-        ``topdown`` reads only the frontier's own adjacency segments,
-        otherwise one masked scan of every message. The unvisited
-        test runs owner-side (owner_combine_bfs ignores state >= 0),
-        so only frontier ids ship — no level vector."""
+    def shard_bfs_topdown(self, bounds: np.ndarray, *frontier):
+        """Range-split (v, min candidate parent) partials from the
+        frontier's own adjacency segments (the owners' sorted id
+        parts). The unvisited test runs owner-side (owner_combine_bfs
+        ignores state >= 0), so only frontier ids ship."""
         frontier = _concat(frontier)
-        z = np.empty(0, dtype=np.int64)
         if self.u.size == 0 or frontier.size == 0:
-            return tuple((z, z) for _ in range(len(bounds) - 1))
-        if topdown:
-            nbr, counts, hit, _ = self._frontier_segments(frontier)
-            par = np.repeat(frontier[hit], counts)
-        else:
-            on = np.zeros(int(bounds[-1]), dtype=bool)
-            on[frontier] = True
-            m = on[self.u]
-            nbr = self.v[m].astype(np.int64)
-            par = self.u[m].astype(np.int64)
-        if nbr.size == 0:
-            return tuple((z, z) for _ in range(len(bounds) - 1))
+            z = np.empty(0, dtype=np.int64)
+            return self._bfs_partials(bounds, z, z)
+        nbr, counts, hit, _ = self._frontier_segments(frontier)
+        return self._bfs_partials(bounds, nbr,
+                                  np.repeat(frontier[hit], counts))
+
+    def shard_bfs_bottomup(self, bounds: np.ndarray, depth: float,
+                           *level):
+        """The same partials for a wide frontier: one scan of every
+        message against the joined level chunks, dropping messages to
+        visited vertices here so they never ship."""
+        if self.u.size == 0:
+            z = np.empty(0, dtype=np.int64)
+            return self._bfs_partials(bounds, z, z)
+        level = _concat(level)
+        mask = (level[self.u] == depth) & (level[self.v] < 0)
+        return self._bfs_partials(bounds, self.v[mask].astype(np.int64),
+                                  self.u[mask].astype(np.int64))
+
+    @staticmethod
+    def _bfs_partials(bounds: np.ndarray, nbr: np.ndarray,
+                      par: np.ndarray):
+        """Min parent per reached neighbor, split by owner range."""
         order = np.lexsort((par, nbr))
         v, u = nbr[order], par[order]
         first = np.ones(v.size, dtype=bool)
@@ -1348,9 +1357,10 @@ class EdgeShard:
         self._pending = self._gathered(my_idx, shard_outs)
         return float(self._pending.sum())
 
-    def owner_scale_pending(self, total: float):
+    def owner_scale_pending(self, total: float, my_idx: int):
         """Phase 2: normalize the pending chunk by the global sum and
-        commit it; returns (local L1 delta, next carry)."""
+        commit it; returns (local L1 delta, next carry). ``my_idx`` is
+        unused: the chunk is already gathered."""
         new = self._pending / total
         self._pending = None
         return self._commit(new), new

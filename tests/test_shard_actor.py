@@ -146,7 +146,7 @@ _GUARD = textwrap.dedent("""
                 np.concatenate([a.owner_get_aux() for a in sh]).tolist())
 
     jp_setup()
-    win = [a.owner_mis_first()[1] for a in sh]
+    win = [a.owner_mis_first(i)[1] for i, a in enumerate(sh)]
     rnd = 1
     while True:
         outs = [a.shard_nbr_ids(bounds, *win) for a in sh]
@@ -161,7 +161,7 @@ _GUARD = textwrap.dedent("""
     mis = jp_result()
 
     jp_setup()
-    parts = [a.owner_jp_color_first()[1] for a in sh]
+    parts = [a.owner_jp_color_first(i)[1] for i, a in enumerate(sh)]
     rnd = 1
     while sum(p[0].size for p in parts):
         rnd += 1

@@ -390,7 +390,7 @@ def test_sharded_weighted_sampled_brandes_matches_dense():
 
 def test_sharded_bfs_direction_switch_matches_dense():
     """Force both gather directions: a path graph keeps every frontier
-    at size 1 (pure top-down ``shard_bfs_step``), a star jumps the
+    at size 1 (pure top-down ``shard_bfs_topdown``), a star jumps the
     frontier to n−1 after one step (full-scan bottom-up mode) — both
     must match the dense BFS exactly."""
     import ray.data
