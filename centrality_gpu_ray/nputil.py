@@ -49,13 +49,15 @@ def splitmix(x: np.ndarray) -> np.ndarray:
 
 
 class DictReader:
-    """Per-worker cached zero-copy views of the sharded vertex
-    dictionary's blocks (``pipelines/vertexdict.py``); ``dict_meta`` is
-    ``(mins, offsets, block_refs)``."""
+    """Per-worker cached zero-copy views of a graph's vertex dictionary
+    (``pipelines/vertexdict.py``); ``dict_meta`` is ``VertexDict.meta``,
+    ``(mins, offsets, block_refs)``. ``blocks``: the blocks themselves,
+    when a task already holds them (it took the refs as top-level
+    arguments)."""
 
-    def __init__(self, dict_meta):
+    def __init__(self, dict_meta, blocks=None):
         self._mins, self._offsets, self._block_refs = dict_meta
-        self._blocks = None
+        self._blocks = blocks
 
     def _ensure(self):
         if self._blocks is None:
@@ -67,6 +69,10 @@ class DictReader:
     def to_dense(self, x: np.ndarray) -> np.ndarray:
         """Original ids → dense 0..n-1 (every id must be present)."""
         blocks = self._ensure()
+        if len(blocks) == 1:
+            # a dense graph's dictionary: the per-block masks below cost
+            # ~1.3x here and ~15x in to_original (300k ids, 20k vertices)
+            return np.searchsorted(blocks[0], x).astype(np.int64)
         blk = np.searchsorted(self._mins, x, side="right") - 1
         out = np.empty(x.size, dtype=np.int64)
         for b in np.unique(blk):
@@ -77,12 +83,25 @@ class DictReader:
     def to_original(self, dense: np.ndarray) -> np.ndarray:
         """Dense ids → original ids."""
         blocks = self._ensure()
+        if len(blocks) == 1:
+            return blocks[0][dense]
         blk = np.searchsorted(self._offsets, dense, side="right") - 1
         out = np.empty(dense.size, dtype=np.int64)
         for b in np.unique(blk):
             m = blk == b
             out[m] = blocks[b][dense[m] - self._offsets[b]]
         return out
+
+    def lookup(self, x: np.ndarray) -> np.ndarray | None:
+        """Original ids → dense ids, or None if any id is not in the
+        dictionary. Dense ids are clipped into range and mapped back;
+        the round trip is the membership check."""
+        x = np.asarray(x, dtype=np.int64)
+        n = int(self._offsets[-1])
+        if n == 0:
+            return None if x.size else np.empty(0, dtype=np.int64)
+        idx = np.clip(self.to_dense(x), 0, n - 1)
+        return idx if np.array_equal(self.to_original(idx), x) else None
 
 
 def arrow_type(t):

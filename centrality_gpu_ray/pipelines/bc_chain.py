@@ -380,95 +380,13 @@ def _same_chain_credits(wc, W, a, L, Duv, suv, k):
     return intra_credit + np.cumsum(seg2[:k]), around
 
 
-def _chain_contribution(lu, lv, ew, nv, mass, weighted, chain):
-    """Contributions of ALL sources interior to one compressed chain →
-    dense float64[nv] accumulator — exactly what ``k`` plain
-    mass-weighted sweeps from those sources would add (tested)."""
-    u, v, order, a, b = chain
-    k = order.size
-    acc = np.zeros(nv)
-    wc = mass[order].astype(np.float64)
-    W = np.zeros(k + 1)
-    np.cumsum(wc, out=W[1:])            # W[i] = sum of wc[:i]
-    L = float(a[0] + b[0])
-
-    # G_j: drop every edge touching this chain's interior
-    onchain = np.zeros(nv, dtype=bool)
-    onchain[order] = True
-    em = ~(onchain[lu] | onchain[lv])
-    S, D, WE = lu[em], lv[em], ew[em]
-    Du, sigu, eu_u, ev_u, bnd_u, _ = _sssp_dag(S, D, WE, nv, u, weighted)
-    Dv, sigv, eu_v, ev_v, bnd_v, _ = _sssp_dag(S, D, WE, nv, v, weighted)
-    Duv = float(Du[v])
-    suv = float(sigu[v])
-    if not np.isfinite(Duv) or suv <= 0.0:
-        raise AssertionError(
-            "bc_chain: G_j disconnected between chain anchors — "
-            "violates the biconnectivity invariant")
-
-    h_u = np.zeros(nv)                  # seeded-accumulation targets
-    h_v = np.zeros(nv)
-
-    # ---- cross pairs (c on chain, t in G_j) ----
-    tlist = np.flatnonzero(~onchain)
-    wt = mass[tlist].astype(np.float64)
-    DuT, DvT = Du[tlist], Dv[tlist]
-    if not np.isfinite(DuT).all():
-        # contract: lu/lv is ONE localized biconnected component, so
-        # G_j is connected; a multi-component input would otherwise
-        # silently misroute seeds (NaN comparisons, searchsorted on
-        # NaN) — fail loudly instead
-        raise AssertionError(
-            "bc_chain: unreachable targets in G_j — input is not a "
-            "single biconnected component")
-    suT, svT = sigu[tlist], sigv[tlist]
-    amt_u, amt_v, cross_pos = _cross_exit_credits(
-        wc, W, a, b, DuT, DvT, suT, svT, wt, k)
-    h_u[tlist] = amt_u
-    h_v[tlist] = amt_v
-
-    # u/v exit credits need no explicit term: the seeded accumulation
-    # credits its DAG source with sum_t h[t] (every path passes it),
-    # and h_u[u] == 0 provides the t == u exclusion.
-
-    same_pos, around_v = _same_chain_credits(wc, W, a, L, Duv, suv, k)
-    # G_j interiors of around routes: seed ONCE (at v, in u's DAG —
-    # seeding symmetrically at u in v's DAG would double-credit the
-    # same u->v path interiors).  u's share arrives via the source
-    # credit of u's accumulation; v is the seed TARGET there (the
-    # x == t exclusion skips it), so v's share is the one explicit
-    # scalar of the whole pass.
-    h_u[v] += around_v
-    acc_chain = cross_pos + same_pos
-
-    # ---- G_j intermediates: one seeded accumulation per endpoint ----
-    h_u[u] = 0.0
-    h_v[v] = 0.0
-    acc += _accumulate_seeds(nv, sigu, eu_u, ev_u, bnd_u, h_u)
-    acc += _accumulate_seeds(nv, sigv, eu_v, ev_v, bnd_v, h_v)
-    acc[v] += around_v
-    acc[order] = acc_chain   # chain interiors are outside G_j: the
-    # accumulations cannot touch them, their only credits are the
-    # position terms
-    return acc
-
-
-def chain_pass(lu, lv, ew, nv, mass, weighted, chains,
-               lo: int, hi: int) -> np.ndarray:
-    """Contributions of chains[lo:hi] → dense float64[nv]."""
-    acc = np.zeros(nv)
-    for chain in chains[lo:hi]:
-        acc += _chain_contribution(lu, lv, ew, nv, mass, weighted, chain)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # compressed-sweep v2: EVERY remaining sweep (plain sources and the two
 # per-chain endpoint sweeps) runs on the chain-contracted multigraph —
 # each compressed chain becomes one weighted edge (u, v, L), so the
 # per-sweep level count drops from the ORIGINAL graph's hop diameter
 # (chain-length dominated; the 8-numpy-calls-per-BFS-level overhead
-# made v1 sweeps ~0.1 s at 1450 levels) to the compressed hop
+# made original-graph sweeps ~0.1 s at 1450 levels) to the compressed hop
 # diameter.  Chain interiors re-enter exactly:
 #
 # * as TARGETS: d(x, c'_m) = min(d(x,u') + a'_m, d(x,v') + b'_m) with
@@ -480,9 +398,9 @@ def chain_pass(lu, lv, ew, nv, mass, weighted, chains,
 # * as partially-traversed prefixes (entry anchor -> target position):
 #   per-chain difference arrays over a flattened segment space.
 #
-# Parity with v1 (and with the plain all-sources kernel) is tested on
-# chain-planted random graphs, theta graphs, weighted variants and
-# non-unit masses in ``tests/test_bc_chain.py``.
+# Parity with the plain all-sources kernel (an independent oracle in
+# ``tests/test_bc_chain.py``) is tested on chain-planted random graphs,
+# theta graphs, weighted variants and non-unit masses.
 # ---------------------------------------------------------------------------
 
 
@@ -632,9 +550,11 @@ def compressed_plain_pass(comp, sources, mass: np.ndarray) -> np.ndarray:
 
 
 def _chain_contribution_v2(comp, nv, mass, chain_idx: int) -> np.ndarray:
-    """`_chain_contribution` with both endpoint sweeps over C_j (the
-    compressed graph minus this chain's contracted edge): identical
-    pair accounting — interior sources of chain j against EVERY other
+    """Contributions of ALL sources interior to compressed chain
+    ``chain_idx`` → dense float64[nv] accumulator, exactly what plain
+    mass-weighted sweeps from those sources would add. Both endpoint
+    sweeps run over C_j (the compressed graph minus this chain's
+    contracted edge): interior sources of chain j against EVERY other
     vertex, same-chain pairs in closed form — at compressed sweep
     cost.  Other chains' interiors re-enter as derived targets,
     redistributed seeds and flow-credited intermediates."""

@@ -632,9 +632,8 @@ def _betweenness_decomposed_distributed(graph: Graph, cfg: EngineConfig,
     import ray
     import ray.data
 
-    from centrality_gpu_ray.pipelines.bicc_sharded import (_OrigMapper,
-                                                           _bicc_run,
-                                                           _to_original_meta)
+    from centrality_gpu_ray.nputil import DictReader
+    from centrality_gpu_ray.pipelines.bicc_sharded import _bicc_run
     from centrality_gpu_ray.stages.shuffle import (hash_aggregate,
                                                    hash_copartition_apply,
                                                    hash_lookup_join)
@@ -811,11 +810,11 @@ def _betweenness_decomposed_distributed(graph: Graph, cfg: EngineConfig,
         batch_format="pyarrow")
     filled = hash_lookup_join(allv, total, "v", "v", {"c": "bc"},
                               num_partitions=P, outer_fill={"bc": 0.0})
-    mapper = _OrigMapper(_to_original_meta(graph))
+    mapper = DictReader(graph.vdict.meta)
 
     def _finish(t: pa.Table, _m=mapper) -> pa.Table:
         v = t.column("v").to_numpy()
-        return pa.table({"node": pa.array(_m(v)),
+        return pa.table({"node": pa.array(_m.to_original(v)),
                          "bc": t.column("bc").cast(pa.float64())})
 
     out = filled.map_batches(_finish, batch_format="pyarrow")

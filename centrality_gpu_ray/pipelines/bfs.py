@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
+from centrality_gpu_ray.nputil import DictReader
 from centrality_gpu_ray.pipelines.graph import Graph
 
 
@@ -135,16 +136,8 @@ def approx_diameter(graph: Graph, num_samples: int = 32, seed: int = 42,
     rng = np.random.default_rng(seed)
     k = min(num_samples, graph.num_vertices)
     dense_sample = rng.choice(graph.num_vertices, size=k, replace=False)
-    if getattr(graph, "sharded", False):
-        # map sampled dense ids through the distributed dictionary —
-        # O(k log) page touches on zero-copy plasma views, no O(n) pull
-        from centrality_gpu_ray.nputil import DictReader
-
-        reader = DictReader((graph.vdict.mins, graph.vdict.offsets,
-                             graph.vdict.block_refs))
-        sources = reader.to_original(np.sort(dense_sample))
-    else:
-        sources = graph.node_ids[dense_sample]
+    # O(k log) page touches on zero-copy plasma views, no O(n) pull
+    sources = DictReader(graph.vdict.meta).to_original(np.sort(dense_sample))
     depths = []
     for src in sources:
         m: dict = {}

@@ -237,7 +237,7 @@ def _use_distributed(graph: Graph) -> bool:
     distributed-mode graph — sharded state or not — runs the
     owner-exchange form instead (``pipelines/bicc_sharded.py``), so no
     whole-edge-list driver pull ever happens past LOCAL_EDGE_CUTOFF."""
-    return getattr(graph, "sharded", False) or graph.mode == "distributed"
+    return graph.mode == "distributed"
 
 
 def bridges(graph: Graph, config: EngineConfig | None = None,

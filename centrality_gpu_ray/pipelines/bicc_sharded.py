@@ -42,36 +42,8 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
+from centrality_gpu_ray.nputil import DictReader
 from centrality_gpu_ray.pipelines.graph import Graph
-
-
-def _to_original_meta(graph: Graph):
-    """Pickle-able dense→original id mapping spec for map_batches."""
-    import ray
-
-    if getattr(graph, "sharded", False):
-        return ("vdict", (graph.vdict.mins, graph.vdict.offsets,
-                          graph.vdict.block_refs))
-    return ("ids", ray.put(graph.node_ids))
-
-
-class _OrigMapper:
-    def __init__(self, meta):
-        self._kind, self._meta = meta
-        self._reader = None
-
-    def __call__(self, dense: np.ndarray) -> np.ndarray:
-        import ray
-
-        if self._kind == "vdict":
-            if self._reader is None:
-                from centrality_gpu_ray.nputil import DictReader
-
-                self._reader = DictReader(self._meta)
-            return self._reader.to_original(dense.astype(np.int64))
-        if self._reader is None:
-            self._reader = ray.get(self._meta)
-        return self._reader[dense.astype(np.int64)]
 
 
 def _cc_to_fixpoint(pool, cfg: EngineConfig, what: str, alt: bool = False):
@@ -275,13 +247,13 @@ def articulation_points_distributed(graph: Graph,
                              num_partitions=cfg.num_partitions)
     counts = hash_aggregate(distinct, ["v"], [("lab", "count")],
                             num_partitions=cfg.num_partitions)
-    mapper = _OrigMapper(_to_original_meta(graph))
+    mapper = DictReader(graph.vdict.meta)
 
     def finish(t: pa.Table, _m=mapper) -> pa.Table:
         v = t.column("v").to_numpy()
         c = t.column("count").to_numpy()  # hash_aggregate's count column
         return pa.table({
-            "node": pa.array(_m(v)),
+            "node": pa.array(_m.to_original(v)),
             "is_articulation": pc.greater_equal(pa.array(c),
                                                 pa.scalar(2)),
         })
@@ -301,7 +273,7 @@ def bcc_labels_distributed(graph: Graph,
     cfg = config or graph.config
     st = _bicc_run(graph, cfg, metrics)
     refs = (st["parent_full"], st["level_full"], st["label_full"])
-    mapper = _OrigMapper(_to_original_meta(graph))
+    mapper = DictReader(graph.vdict.meta)
 
     class EdgeLabels:
         def __init__(self):
@@ -318,8 +290,8 @@ def bcc_labels_distributed(graph: Graph,
             deeper = np.where(level[s] >= level[d], s, d)
             bcc = np.where(is_tree, label[child], label[deeper])
             return pa.table({
-                "src": pa.array(mapper(s)),
-                "dst": pa.array(mapper(d)),
+                "src": pa.array(mapper.to_original(s)),
+                "dst": pa.array(mapper.to_original(d)),
                 "bcc": pa.array(bcc.astype(np.int64)),
             })
 

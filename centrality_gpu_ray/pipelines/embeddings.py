@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from centrality_gpu_ray.nputil import splitmix
+from centrality_gpu_ray.nputil import DictReader, splitmix
 
 __all__ = ["sgns_train", "sgns_train_sharded", "sgns_collect",
            "sgns_embeddings_dataset", "embedding_table",
@@ -421,26 +421,23 @@ def sgns_collect(pool) -> tuple[np.ndarray, np.ndarray]:
 
 def sgns_embeddings_dataset(pool, vdict=None, emb_col: str = "embedding"):
     """Per-owner (node, embedding) chunks → Dataset, driver never
-    holding n rows. ``vdict`` maps dense row ids back to original
-    vertex ids (sharded graphs); None emits dense ids."""
+    holding n rows. ``vdict`` (a graph's ``Graph.vdict``) maps dense
+    row ids back to original vertex ids; None (owners trained on dense
+    pairs without a graph) emits dense ids."""
     import ray
     import ray.data
 
-    meta = (None if vdict is None
-            else (vdict.mins, vdict.offsets, vdict.block_refs))
-
     @ray.remote
-    def emit(lo: int, hi: int, w: np.ndarray):
+    def emit(lo: int, hi: int, w: np.ndarray, meta):
         ids = np.arange(lo, hi, dtype=np.int64)
         if meta is not None:
-            from centrality_gpu_ray.nputil import DictReader
-
             ids = DictReader(meta).to_original(ids)
         return embedding_table(w, ids, emb_col=emb_col)
 
     bounds = pool.bounds
+    meta = None if vdict is None else vdict.meta
     tabs = [emit.remote(int(bounds[i]), int(bounds[i + 1]),
-                        a.owner_sgns_chunk.remote(0))
+                        a.owner_sgns_chunk.remote(0), meta)
             for i, a in enumerate(pool.actors)]
     return ray.data.from_arrow_refs(tabs)
 
@@ -484,37 +481,15 @@ def node2vec_embeddings(graph, dim: int = 32, walk_length: int = 20,
     bottleneck (measured 3.0× at 9M pairs); the two trainers agree to
     float association (1e-9 parity-tested). Sharded graphs always
     train owner-resident."""
-    from centrality_gpu_ray.pipelines.walks import (random_walks,
-                                                    skipgram_pairs)
-
-    node_ids = getattr(graph, "node_ids", None)
-    if node_ids is None:
-        # sharded graphs (> dense_vertex_limit): walks already run
-        # sharded; pairs remap original→dense through the VertexDict
-        # and the OWNER-RESIDENT trainer holds the model chunks —
-        # the dense (n, d) driver matrices never exist
+    if graph.sharded:
+        # sharded graphs (> dense_vertex_limit): the OWNER-RESIDENT
+        # trainer holds the model chunks — the dense (n, d) driver
+        # matrices never exist
         return _node2vec_sharded(graph, dim, walk_length,
                                  walks_per_node, window, neg, iters,
                                  lr, seed, p, q)
-    ids = np.asarray(node_ids, dtype=np.int64)
-    walks = random_walks(graph, walk_length=walk_length,
-                         walks_per_node=walks_per_node, seed=seed,
-                         p=p, q=q)
-    pairs = skipgram_pairs(walks, window=window)
-
-    # walks carry ORIGINAL vertex ids; SGNS trains over dense rows
-    def to_dense(t: pa.Table) -> pa.Table:
-        c = np.searchsorted(ids, t.column("center").to_numpy())
-        x = np.searchsorted(ids, t.column("context").to_numpy())
-        return pa.table({"center": pa.array(c.astype(np.int64)),
-                         "context": pa.array(x.astype(np.int64))})
-
-    if isinstance(pairs, pa.Table):
-        import ray.data as _rd
-        pairs = _rd.from_arrow(to_dense(pairs))
-    else:
-        pairs = pairs.map_batches(to_dense, batch_format="pyarrow")
-    pairs = pairs.materialize()
+    pairs = _dense_pairs(graph, walk_length, walks_per_node, window, seed,
+                         p, q).materialize()
     if trainer not in ("auto", "dense", "owners"):
         raise ValueError(f"node2vec_embeddings: unknown trainer "
                          f"{trainer!r}")
@@ -534,20 +509,19 @@ def node2vec_embeddings(graph, dim: int = 32, walk_length: int = 20,
     else:
         w_in = sgns_train(pairs, graph.num_vertices, dim=dim, neg=neg,
                           iters=iters, lr=lr, seed=seed)["w_in"]
-    return embedding_table(w_in, ids)
+    return embedding_table(w_in, graph.node_ids)
 
 
 class _PairRemapSharded:
     """map_batches callable: (center, context) original ids → dense,
-    via worker-cached zero-copy VertexDict block views."""
+    via worker-cached zero-copy views of the graph's vertex dictionary
+    (dense and sharded graphs alike)."""
 
     def __init__(self, dict_meta):
         self._meta = dict_meta
         self._reader = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from centrality_gpu_ray.nputil import DictReader
-
         if self._reader is None:
             self._reader = DictReader(self._meta)
         c = self._reader.to_dense(t.column("center").to_numpy())
@@ -555,12 +529,12 @@ class _PairRemapSharded:
         return pa.table({"center": pa.array(c), "context": pa.array(x)})
 
 
-def _node2vec_sharded(graph, dim, walk_length, walks_per_node, window,
-                      neg, iters, lr, seed, p, q):
-    """node2vec for >``dense_vertex_limit`` graphs: sharded walks →
-    skip-gram pairs (original ids) → VertexDict dense remap →
-    owner-resident SGNS on the graph's own shard pool (no second actor
-    spawn) → (node, embedding) Dataset in ORIGINAL ids."""
+def _dense_pairs(graph, walk_length, walks_per_node, window, seed, p, q):
+    """Walks → skip-gram pairs → a Dataset of (center, context) pairs
+    in dense ids: walks carry ORIGINAL vertex ids, SGNS trains over
+    dense rows."""
+    import ray.data
+
     from centrality_gpu_ray.pipelines.walks import (random_walks,
                                                     skipgram_pairs)
 
@@ -568,11 +542,21 @@ def _node2vec_sharded(graph, dim, walk_length, walks_per_node, window,
                          walks_per_node=walks_per_node, seed=seed,
                          p=p, q=q)
     pairs = skipgram_pairs(walks, window=window)
-    vd = graph.vdict
-    dict_meta = (vd.mins, vd.offsets, vd.block_refs)
-    pairs = pairs.map_batches(_PairRemapSharded(dict_meta),
-                              batch_format="pyarrow")
+    remap = _PairRemapSharded(graph.vdict.meta)
+    if isinstance(pairs, pa.Table):
+        return ray.data.from_arrow(remap(pairs))
+    return pairs.map_batches(remap, batch_format="pyarrow")
+
+
+def _node2vec_sharded(graph, dim, walk_length, walks_per_node, window,
+                      neg, iters, lr, seed, p, q):
+    """node2vec for >``dense_vertex_limit`` graphs: sharded walks →
+    skip-gram pairs → vertex-dictionary dense remap → owner-resident
+    SGNS on the graph's own shard pool (no second actor spawn) →
+    (node, embedding) Dataset in ORIGINAL ids."""
+    pairs = _dense_pairs(graph, walk_length, walks_per_node, window, seed,
+                         p, q)
     fit = sgns_train_sharded(pairs, graph.num_vertices, dim=dim,
                              neg=neg, iters=iters, lr=lr, seed=seed,
                              pool=graph.pool)
-    return sgns_embeddings_dataset(fit["pool"], vd)
+    return sgns_embeddings_dataset(fit["pool"], graph.vdict)

@@ -156,8 +156,7 @@ def _sample_sharded(graph: Graph, seeds: np.ndarray, fanouts,
     if not getattr(pool, "_frontier_capable", True):
         raise ValueError("neighbor_sample: sharded path needs a "
                          "frontier-capable pool")
-    reader = DictReader((graph.vdict.mins, graph.vdict.offsets,
-                         graph.vdict.block_refs))
+    reader = DictReader(graph.vdict.meta)
     orig = reader.to_original(np.arange(0))  # warm block fetch
     del orig
     # loud seed validation via clamped round-trip (a foreign id can

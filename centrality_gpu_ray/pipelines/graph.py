@@ -15,8 +15,9 @@ The build from raw edges is one Ray Data execution plus raw tasks:
    canonical, so they are kept as they are (``canonical_edges()``).
 2. One task per deduped block: its distinct vertex ids and evenly
    spaced samples of its ids and (src, dst) keys. Dense graphs merge
-   the ids on the driver; sharded graphs range-exchange them into the
-   vertex dictionary (``pipelines/vertexdict.py``).
+   the ids on the driver and wrap them as a one-block vertex
+   dictionary; sharded graphs range-exchange them into a many-block
+   one (``pipelines/vertexdict.py``).
 3. One range exchange (``_range_layout``): remap to dense ids and cut
    into (s, d) ranges at cut points picked from the samples, one block
    per range and one range per shard actor, with no repartition. Step
@@ -37,14 +38,16 @@ Two execution modes (chosen by ``mode`` or edge count):
   per superstep each shard ``reduceat``s its presorted messages into
   one partial per destination and each owner combines its range.
 
-Whether the graph is ``sharded`` decides only how original ids come in
-and how scores go out, never which superstep loop runs. Up to
-``EngineConfig.dense_vertex_limit`` vertices ``node_ids`` sits on the
-driver and owner state comes back as a ``pa.Table``; beyond it the
-vertex dictionary itself is sharded (``pipelines/vertexdict.py``) and
-results come back as Datasets built from the owners' chunks
-(:meth:`Graph.dense_index`, :meth:`Graph.owner_scores`,
-:meth:`Graph.owner_edges`).
+Every graph maps ids through one vertex dictionary (``Graph.vdict``,
+``pipelines/vertexdict.py``): tasks and actors read it with
+``nputil.DictReader``, and :meth:`Graph.dense_index` resolves ids
+through it. Whether the graph is ``sharded`` never decides how ids are
+mapped or which superstep loop runs. Up to
+``EngineConfig.dense_vertex_limit`` vertices the dictionary is one
+block, ``node_ids`` also sits on the driver for driver-array kernels,
+and results come back as ``pa.Table``s; beyond it the dictionary is
+range-partitioned and results come back as Datasets built from the
+owners' chunks (:meth:`Graph.owner_scores`, :meth:`Graph.owner_edges`).
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig, DEFAULT_CONFIG
+from centrality_gpu_ray.nputil import DictReader
+from centrality_gpu_ray.pipelines.vertexdict import VertexDict, _RemapSharded
 from centrality_gpu_ray.stages.edges import dedup_edges
 from centrality_gpu_ray.stages.shuffle import (
     _nonempty_block_refs, cluster_width, cut_positions, even_sample)
@@ -70,7 +75,9 @@ class Graph:
     Vertices get dense ids ``0..n-1`` = rank of their original int64 id
     in sorted order (deterministic, partition-count independent —
     replaces the first-seen-order relabel of ``modified_apsp.cpp:273-363``
-    which is not). ``node_ids[i]`` maps back.
+    which is not). ``vdict`` maps both ways on every graph; on dense
+    graphs ``node_ids[i]`` also maps back on the driver (``None`` on
+    sharded ones).
 
     ``edges_ds`` holds raw ``(src, dst[, weight])`` rows: duplicates are
     summed, self-loops dropped. ``normalized=True`` declares it a clean
@@ -112,27 +119,21 @@ class Graph:
         upper_bound = sum(m[0] for m in metas)
         self.sharded = upper_bound > self.config.dense_vertex_limit
         if not self.sharded:
-            # dense path: merge per-block uniques on the driver
+            # dense path: merge per-block uniques on the driver; the
+            # dictionary is that vector as one block
             self.node_ids = (np.unique(np.concatenate(ray.get(id_refs)))
                              if id_refs else np.empty(0, dtype=np.int64))
-            self.num_vertices = int(self.node_ids.size)
-            remap = _Remap(self.node_ids)
+            self.vdict = VertexDict.one_block(self.node_ids)
         else:
             # sharded path (> dense_vertex_limit): dictionary built
             # distributed, range-partitioned plasma blocks; the driver
             # holds P boundaries/offsets only (pipelines/vertexdict.py).
-            from centrality_gpu_ray.pipelines.vertexdict import (
-                VertexDict, _RemapSharded)
-
             self.vdict = VertexDict.build(
                 id_refs, np.concatenate([m[1] for m in metas]))
             self.node_ids = None
-            self.num_vertices = self.vdict.num_vertices
-            remap = _RemapSharded(
-                (self.vdict.mins, self.vdict.offsets, self.vdict.block_refs))
+        self.num_vertices = self.vdict.num_vertices
 
-        self.edges = _range_layout(blocks, remap, metas, self.num_vertices,
-                                   width)
+        self.edges = _range_layout(blocks, self.vdict, metas, width)
         self.num_edges = self.edges.count()
 
         if self.sharded:
@@ -225,26 +226,10 @@ class Graph:
     def dense_index(self, nodes: np.ndarray) -> np.ndarray | None:
         """Original node ids → dense 0..n-1 indices, or None if any id is
         not a vertex of THIS graph (e.g. a checkpoint from a different
-        graph, an unknown source). Sharded graphs resolve through the
-        vertex dictionary (O(k) reads of its plasma blocks); the
-        round trip back to original ids is the membership check.
-        Clips before it so out-of-range ids fail gracefully instead of
-        raising."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        n = self.num_vertices
-        if n == 0:
-            return None if nodes.size else np.empty(0, dtype=np.int64)
-        if self.sharded:
-            from centrality_gpu_ray.nputil import DictReader
-
-            reader = DictReader((self.vdict.mins, self.vdict.offsets,
-                                 self.vdict.block_refs))
-            idx = np.clip(reader.to_dense(nodes), 0, n - 1)
-            back = reader.to_original(idx)
-        else:
-            idx = np.minimum(np.searchsorted(self.node_ids, nodes), n - 1)
-            back = self.node_ids[idx]
-        return idx if np.array_equal(back, nodes) else None
+        graph, an unknown source): ``DictReader.lookup`` on the vertex
+        dictionary, whose round trip back to original ids is the
+        membership check."""
+        return DictReader(self.vdict.meta).lookup(nodes)
 
     def owner_scores(self, pool, col: str, cast=None, ids: bool = False,
                      aux_col: str | None = None, aux_ids: bool = False,
@@ -282,26 +267,20 @@ class Graph:
 
     def owner_edges(self, parts: list, col: str | None = None):
         """Refs to per-actor dense-id edge parts ``(s, d[, values])`` →
-        ``(src, dst[, col])`` rows in original ids: a ``pa.Table`` on
-        dense graphs, a Dataset on sharded ones (one task per part,
-        mapping ids through the vertex dictionary)."""
+        ``(src, dst[, col])`` rows in original ids, mapped through the
+        vertex dictionary: a ``pa.Table`` on dense graphs, a Dataset on
+        sharded ones (one task per part)."""
         import ray
 
         if not self.sharded:
             return _edge_table([np.concatenate(c)
                                 for c in zip(*ray.get(parts))],
-                               self.node_ids.__getitem__, col)
+                               self.vdict.meta, col)
         import ray.data
 
-        from centrality_gpu_ray.pipelines.bicc_sharded import _OrigMapper
-
-        @ray.remote
-        def emit(part, meta):
-            return _edge_table(part, _OrigMapper(("vdict", meta)), col)
-
-        meta = (self.vdict.mins, self.vdict.offsets, self.vdict.block_refs)
-        return ray.data.from_arrow_refs([emit.remote(p, meta)
-                                         for p in parts])
+        emit = ray.remote(_edge_table)
+        return ray.data.from_arrow_refs([emit.remote(p, self.vdict.meta,
+                                                     col) for p in parts])
 
     def scores_table(self, values: np.ndarray, col: str) -> pa.Table:
         """Dense result vector → (node, col) table in original ids."""
@@ -311,9 +290,10 @@ class Graph:
         })
 
 
-def _edge_table(part, to_orig, col: str | None) -> pa.Table:
+def _edge_table(part, dict_meta, col: str | None) -> pa.Table:
     """Dense ``(s, d[, values])`` arrays → ``(src, dst[, col])`` in
-    original ids."""
+    original ids, through the vertex dictionary ``dict_meta``."""
+    to_orig = DictReader(dict_meta).to_original
     cols = {"src": pa.array(to_orig(part[0]), type=pa.int64()),
             "dst": pa.array(to_orig(part[1]), type=pa.int64())}
     if col is not None:
@@ -332,30 +312,6 @@ def _to_canonical(batch: pa.Table) -> pa.Table:
     return t.filter(keep)
 
 
-class _Remap:
-    """Edge-table callable: original ids → dense 0..n-1 by a search in
-    the sorted id array it carries. ``_range_layout`` puts it into the
-    object store once and its tasks read it zero-copy. The ids travel
-    by value inside it, not as a nested ``ray.put`` ref: such a ref
-    outlived its graph whenever shard actors had held the graph's
-    blocks (one n-vector per job left in the store, 137,048 B on the
-    benchmark's lineitem graph)."""
-
-    def __init__(self, ids: np.ndarray):
-        self._ids = ids
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        s = np.searchsorted(self._ids, batch.column("src").to_numpy())
-        d = np.searchsorted(self._ids, batch.column("dst").to_numpy())
-        w = (batch.column("weight").to_numpy() if "weight" in batch.column_names
-             else np.ones(len(batch), dtype=np.int64))
-        return pa.table({
-            "s": pa.array(s.astype(np.int64)),
-            "d": pa.array(d.astype(np.int64)),
-            "w": pa.array(w.astype(np.int64)),
-        })
-
-
 def _block_ids(block: pa.Table, m: int):
     """One canonical edge block → (its sorted distinct vertex ids,
     (their count, a sample of them, a sample of its (src, dst) keys as
@@ -369,7 +325,7 @@ def _block_ids(block: pa.Table, m: int):
                  src[keys], dst[keys])
 
 
-def _range_layout(blocks: list, remap, metas: list, n: int, width: int):
+def _range_layout(blocks: list, vdict: VertexDict, metas: list, width: int):
     """Canonical edge blocks → the dense-id edge Dataset: rows sorted by
     (s, d) and range-partitioned into up to ``width`` blocks, one per
     range, so a shard's slice is one (s, d) range (few distinct message
@@ -378,13 +334,18 @@ def _range_layout(blocks: list, remap, metas: list, n: int, width: int):
     the layout is a pure function of the input blocks: float sums over
     a shard stay bit-identical across runs (a Dataset ``sort`` draws its
     cut points at random). Raw tasks throughout: one remap-and-split
-    task per input block, one merge task per range."""
+    task per input block, one merge task per range. The dictionary
+    blocks reach the remap tasks as top-level arguments, never as refs
+    nested in another object: a nested ref outlived its graph whenever
+    shard actors had held the graph's blocks (one n-vector per job left
+    in the store, 137,048 B on the benchmark's lineitem graph)."""
     import ray
     import ray.data
 
     if not blocks:
         return ray.data.from_arrow(pa.table(
             {c: pa.array([], type=pa.int64()) for c in ("s", "d", "w")}))
+    n = vdict.num_vertices
     src = np.concatenate([m[2] for m in metas])
     dst = np.concatenate([m[3] for m in metas])
     order = np.lexsort((dst, src))
@@ -397,7 +358,9 @@ def _range_layout(blocks: list, remap, metas: list, n: int, width: int):
         return t.column("s").to_numpy() * n + t.column("d").to_numpy()
 
     @ray.remote(num_returns=parts)
-    def remap_split(block: pa.Table, remap, cuts):
+    def remap_split(block: pa.Table, cuts, mins, offsets, *dict_blocks):
+        remap = _RemapSharded(DictReader((mins, offsets, None),
+                                         list(dict_blocks)))
         t = remap(block)
         k = key(t)
         order = np.argsort(k)
@@ -415,8 +378,8 @@ def _range_layout(blocks: list, remap, metas: list, n: int, width: int):
         rows = rows[np.argsort(rows[:, 0] * n + rows[:, 1], kind="stable")]
         return pa.table({c: rows[:, i] for i, c in enumerate("sdw")})
 
-    remap = ray.put(remap)
-    split = [remap_split.remote(b, remap, cuts) for b in blocks]
+    split = [remap_split.remote(b, cuts, vdict.mins, vdict.offsets,
+                                *vdict.block_refs) for b in blocks]
     if parts == 1:
         split = [[p] for p in split]
     return ray.data.from_arrow_refs(

@@ -43,6 +43,7 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
+from centrality_gpu_ray.nputil import DictReader
 from centrality_gpu_ray.pipelines.graph import Graph
 from centrality_gpu_ray.pipelines.triangles import _pack, _wedges_from_adj
 
@@ -265,29 +266,15 @@ def _distributed(graph: Graph, cfg: EngineConfig, top_k,
     keyed = hash_lookup_join(keyed, deg_ds, "_v", "v", {"c": "deg_v"},
                              num_partitions=P)
 
-    if graph.sharded:
-        from centrality_gpu_ray.nputil import DictReader
+    dict_meta = graph.vdict.meta
 
-        vd = graph.vdict
-        dict_meta = (vd.mins, vd.offsets, vd.block_refs)
-
-        def to_orig(t: pa.Table) -> pa.Table:
-            out = _finalize(t, n)
-            reader = DictReader(dict_meta)
-            u = reader.to_original(out.column("u").to_numpy())
-            v = reader.to_original(out.column("v").to_numpy())
-            return (out.set_column(0, "u", pa.array(u.astype(np.int64)))
-                       .set_column(1, "v", pa.array(v.astype(np.int64))))
-    else:
-        ids_ref = ray.put(graph.node_ids)
-
-        def to_orig(t: pa.Table, _ref=ids_ref) -> pa.Table:
-            out = _finalize(t, n)
-            ids = ray.get(_ref)
-            u = ids[out.column("u").to_numpy()]
-            v = ids[out.column("v").to_numpy()]
-            return (out.set_column(0, "u", pa.array(u.astype(np.int64)))
-                       .set_column(1, "v", pa.array(v.astype(np.int64))))
+    def to_orig(t: pa.Table) -> pa.Table:
+        out = _finalize(t, n)
+        reader = DictReader(dict_meta)
+        u = reader.to_original(out.column("u").to_numpy())
+        v = reader.to_original(out.column("v").to_numpy())
+        return (out.set_column(0, "u", pa.array(u.astype(np.int64)))
+                   .set_column(1, "v", pa.array(v.astype(np.int64))))
 
     out = keyed.map_batches(to_orig, batch_format="pyarrow",
                             batch_size=cfg.batch_size)
@@ -350,7 +337,7 @@ def linkpred_training_set(graph: Graph, neg_per_pos: int = 1,
     if neg_per_pos < 1:
         raise ValueError("neg_per_pos must be >= 1")
     n = graph.num_vertices
-    if graph.mode == "local" and not graph.sharded:
+    if graph.mode == "local":
         s, d, _ = graph.local_arrays()
         cand = _neg_candidates(s, d, n, neg_per_pos, seed) \
             .column("key").to_numpy(zero_copy_only=False)
@@ -368,8 +355,6 @@ def linkpred_training_set(graph: Graph, neg_per_pos: int = 1,
         order = np.lexsort((v, u, -lab))
         return pa.table({"u": pa.array(u[order]), "v": pa.array(v[order]),
                          "label": pa.array(lab[order])})
-
-    import ray
 
     from centrality_gpu_ray.stages.shuffle import hash_anti_join
 
@@ -399,21 +384,11 @@ def linkpred_training_set(graph: Graph, neg_per_pos: int = 1,
             t.column("key").to_numpy(zero_copy_only=False)))}),
         batch_format="pyarrow", batch_size=None)
 
-    if graph.sharded:
-        from centrality_gpu_ray.nputil import DictReader
+    dict_meta = graph.vdict.meta
 
-        vd = graph.vdict
-        dict_meta = (vd.mins, vd.offsets, vd.block_refs)
-
-        def to_pairs(dense_u, dense_v):
-            reader = DictReader(dict_meta)
-            return reader.to_original(dense_u), reader.to_original(dense_v)
-    else:
-        ids_ref = ray.put(graph.node_ids)
-
-        def to_pairs(dense_u, dense_v, _ref=ids_ref):
-            ids = ray.get(_ref)
-            return ids[dense_u], ids[dense_v]
+    def to_pairs(dense_u, dense_v):
+        reader = DictReader(dict_meta)
+        return reader.to_original(dense_u), reader.to_original(dense_v)
 
     def neg_rows(t: pa.Table) -> pa.Table:
         k = t.column("key").to_numpy(zero_copy_only=False)

@@ -88,8 +88,8 @@ def jp_setup(graph: Graph, seed: int, scheme: str = "splitmix"):
         raise ValueError("sharded MIS supports priority_scheme="
                          "'splitmix' only")
     else:
-        graph.pool.jp_setup(graph.num_vertices, seed=seed, dict_meta=(
-            graph.vdict.mins, graph.vdict.offsets, graph.vdict.block_refs))
+        graph.pool.jp_setup(graph.num_vertices, seed=seed,
+                            dict_meta=graph.vdict.meta)
     return graph.pool
 
 

@@ -689,9 +689,10 @@ class ShardPool:
 
     def resume_owners(self, ckpt_dir: str, algo: str,
                       vector: str = "state") -> int | None:
-        """Load the newest matching sharded checkpoint into the owners;
-        returns its step, or None if absent/incompatible (different n
-        or owner bounds — e.g. a different pool size). The loaded
+        """Load the newest sharded checkpoint into the owners; returns
+        its step, or None if there is none. Raises ``ValueError`` if it
+        was written for another ``n`` or other owner bounds (another
+        graph, or another pool size). The loaded
         manifest is kept on ``self.last_manifest`` so callers can read
         their own lineage fields (e.g. the sampled-BC source cursor)."""
         import json
@@ -711,9 +712,12 @@ class ShardPool:
         step_dir = os.path.join(algo_dir, steps[-1])
         with open(os.path.join(step_dir, "manifest.json")) as f:
             man = json.load(f)
-        if (man.get("n") != int(self.n)
-                or man.get("bounds") != [int(b) for b in self.bounds]):
-            return None
+        bounds = [int(b) for b in self.bounds]
+        if man.get("n") != int(self.n) or man.get("bounds") != bounds:
+            raise ValueError(
+                f"checkpoint {step_dir} was written for n={man.get('n')}, "
+                f"owner bounds {man.get('bounds')}; this pool has "
+                f"n={int(self.n)}, owner bounds {bounds}")
         ray.get([
             a.owner_load_chunk.remote(
                 os.path.join(step_dir, f"owner-{i:05d}.parquet"), vector)

@@ -1,9 +1,13 @@
-"""Sharded vertex dictionary — the >``dense_vertex_limit`` relabel path.
+"""Vertex dictionary — the one map between original and dense ids.
 
-The dense path builds the sorted distinct-id vector on the driver
-(fine to ~5M vertices). At the north_rule's 10^12-file scale the vertex
-set does not fit a driver vector, so the dictionary itself is built
-distributed and lives as range-partitioned plasma blocks:
+Every ``Graph`` carries one (``graph.vdict``), and every id mapping
+that runs in a task or an actor reads it through ``nputil.DictReader``.
+Up to ``dense_vertex_limit`` vertices it is the driver's sorted
+``node_ids`` as a single block (:meth:`VertexDict.one_block`, one
+``ray.put``). Beyond it the vertex set does not fit a driver vector
+(the north_rule's 10^12-file scale), so the dictionary itself is built
+distributed and lives as range-partitioned plasma blocks
+(:meth:`VertexDict.build`):
 
 1. per-block partial unique (one task per edge block, no shuffle;
    ``Graph`` runs it),
@@ -17,8 +21,7 @@ The driver holds only the P block boundaries/offsets. Mappers resolve
 ids by reading the dict blocks ZERO-COPY from the object store (one
 physical copy per node — the same budget as the broadcast state
 vector; at 1e9 vertices the dict is 8 GB/node, which is the documented
-envelope). Replaces the driver concat + ``NotImplementedError`` at
-``graph.py``; the reference's first-seen relabel is
+envelope). The reference's first-seen relabel is
 ``modified_apsp.cpp:273-363``.
 """
 
@@ -45,6 +48,25 @@ class VertexDict:
         self.mins = mins
         self.offsets = offsets
         self.num_vertices = int(offsets[-1])
+
+    @property
+    def meta(self) -> tuple:
+        """``(mins, offsets, block_refs)``: what a task or an actor
+        needs to build a ``DictReader``."""
+        return self.mins, self.offsets, self.block_refs
+
+    @staticmethod
+    def one_block(ids: np.ndarray) -> "VertexDict":
+        """A dense graph's dictionary: its sorted distinct ids (the
+        driver's ``node_ids``) as one block, put in the object store
+        once."""
+        import ray
+
+        if not ids.size:
+            return VertexDict([], np.empty(0, dtype=np.int64),
+                              np.zeros(1, dtype=np.int64))
+        return VertexDict([ray.put(ids)], ids[:1].copy(),
+                          np.array([0, ids.size], dtype=np.int64))
 
     @staticmethod
     def build(id_refs: list, sample: np.ndarray) -> "VertexDict":
@@ -88,10 +110,12 @@ class VertexDict:
 
 
 class _RemapSharded:
-    """Edge-table callable: (src, dst, weight) → dense (s, d, w)."""
+    """Edge-table callable: (src, dst, weight) → dense (s, d, w) through
+    a ``DictReader`` — the graph build's one remap, for dense and
+    sharded graphs alike."""
 
-    def __init__(self, dict_meta):
-        self._reader = DictReader(dict_meta)
+    def __init__(self, reader: DictReader):
+        self._reader = reader
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         s = self._reader.to_dense(batch.column("src").to_numpy())
@@ -122,8 +146,6 @@ def scores_dataset(vdict: VertexDict, pool, col: str,
     import ray
     import ray.data
 
-    dict_meta = (vdict.mins, vdict.offsets, vdict.block_refs)
-
     @ray.remote
     def emit(lo: int, hi: int, state: np.ndarray, aux, meta):
         reader = DictReader(meta)
@@ -153,6 +175,6 @@ def scores_dataset(vdict: VertexDict, pool, col: str,
                 if aux_col is not None else [None] * len(pool.actors))
     bounds = pool.bounds
     tabs = [emit.remote(int(bounds[i]), int(bounds[i + 1]), state_refs[i],
-                        aux_refs[i], dict_meta)
+                        aux_refs[i], vdict.meta)
             for i in range(len(pool.actors))]
     return ray.data.from_arrow_refs(tabs)

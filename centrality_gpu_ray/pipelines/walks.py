@@ -54,7 +54,7 @@ import numpy as np
 import pyarrow as pa
 
 from centrality_gpu_ray.config import EngineConfig
-from centrality_gpu_ray.nputil import splitmix
+from centrality_gpu_ray.nputil import DictReader, splitmix
 from centrality_gpu_ray.pipelines.graph import Graph
 
 __all__ = ["random_walks", "skipgram_pairs"]
@@ -232,7 +232,7 @@ def random_walks(graph: Graph, walk_length: int = 40,
                 "random_walks: duplicate entries in starts (walk ids "
                 "would collide) — use walks_per_node for multiplicity")
     second_order = not (p == 1.0 and q == 1.0)
-    if graph.mode == "local" and not graph.sharded:
+    if graph.mode == "local":
         if second_order:
             out = _local_walks_2nd(graph, walk_length, walks_per_node,
                                    seed, weighted, starts, p, q)
@@ -263,31 +263,19 @@ def _local_walks(graph: Graph, walk_length: int, wpn: int, seed: int,
     ss, dd, pre_w = _sorted_adj(np.concatenate([s, d]),
                                 np.concatenate([d, s]),
                                 np.concatenate([w, w]) if weighted else None)
-    ids = graph.node_ids
-    if starts is None:
-        start_dense = np.arange(n, dtype=np.int64)
-    else:
-        start_dense = np.searchsorted(ids, starts)
-        if (start_dense >= n).any() or (ids[start_dense] != starts).any():
-            raise ValueError("starts contains unknown vertex ids")
-    wid = (np.repeat(start_dense * wpn, wpn)
-           + np.tile(np.arange(wpn, dtype=np.int64), start_dense.size))
-    cur = np.repeat(start_dense, wpn)
+    wid, cur = _start_frontier(graph, wpn, starts)
     out = np.empty((walk_length + 1, wid.size), dtype=np.int64)
     out[0] = cur
     for t in range(1, walk_length + 1):
         cur = _step_next(ss, dd, pre_w, cur, wid, t, seed)
         out[t] = cur
-    return _seq_table(wid, ids[out.T.reshape(-1)], walk_length)
+    return _seq_table(wid, graph.node_ids[out.T.reshape(-1)], walk_length)
 
 
-def _assemble_walks(rows_ds, walk_length: int, dict_meta, ids_ref,
-                    P: int):
+def _assemble_walks(rows_ds, walk_length: int, dict_meta, P: int):
     """(walk_id, step, node) rows → (walk_id, start, nodes) sequence
     table via one walk_id exchange — shared by both distributed paths
     (first-order and node2vec)."""
-    import ray
-
     from centrality_gpu_ray.stages.shuffle import hash_partition_apply
 
     L = walk_length + 1
@@ -302,12 +290,8 @@ def _assemble_walks(rows_ds, walk_length: int, dict_meta, ids_ref,
         wid, nod = wid[order], nod[order]
         if wid.size % L:
             raise AssertionError("random_walks: incomplete walk rows")
-        if dict_meta is not None:
-            from centrality_gpu_ray.nputil import DictReader
-            orig = DictReader(dict_meta).to_original(nod)
-        else:
-            orig = ray.get(ids_ref)[nod]
-        return _seq_table(wid[::L], orig, walk_length)
+        return _seq_table(wid[::L], DictReader(dict_meta).to_original(nod),
+                          walk_length)
 
     return hash_partition_apply(rows_ds, ["walk_id"], build,
                                 num_partitions=P)
@@ -340,13 +324,11 @@ def _second_order_pick(ss, dd, pre_w, kk, K: int, prev: np.ndarray,
 
 def _start_frontier(graph: Graph, wpn: int, starts):
     """(wid, cur) initial dense frontier for the local paths."""
-    n = graph.num_vertices
-    ids = graph.node_ids
     if starts is None:
-        start_dense = np.arange(n, dtype=np.int64)
+        start_dense = np.arange(graph.num_vertices, dtype=np.int64)
     else:
-        start_dense = np.searchsorted(ids, starts)
-        if (start_dense >= n).any() or (ids[start_dense] != starts).any():
+        start_dense = graph.dense_index(starts)
+        if start_dense is None:
             raise ValueError("starts contains unknown vertex ids")
     wid = (np.repeat(start_dense * wpn, wpn)
            + np.tile(np.arange(wpn, dtype=np.int64), start_dense.size))
@@ -422,14 +404,7 @@ def _distributed_walks(graph: Graph, cfg: EngineConfig, walk_length: int,
     adj_refs = [adj_build.remote(*shard(p)) for p in range(P)]
 
     # ---- initial frontier: (walk_id, start) chunks pre-split by hash
-    if graph.sharded:
-        from centrality_gpu_ray.nputil import DictReader
-        dict_meta = (graph.vdict.mins, graph.vdict.offsets,
-                     graph.vdict.block_refs)
-        ids_ref = None
-    else:
-        dict_meta = None
-        ids_ref = ray.put(graph.node_ids)
+    dict_meta = graph.vdict.meta
 
     def _split_pair(wid: np.ndarray, cur: np.ndarray):
         part = _vpart(cur, P)
@@ -442,13 +417,9 @@ def _distributed_walks(graph: Graph, cfg: EngineConfig, walk_length: int,
     def frontier_init(lo: int, hi: int, starts_chunk):
         if starts_chunk is None:
             start_dense = np.arange(lo, hi, dtype=np.int64)
-        elif dict_meta is not None:
-            start_dense = DictReader(dict_meta).to_dense(starts_chunk)
         else:
-            ids = ray.get(ids_ref)
-            start_dense = np.searchsorted(ids, starts_chunk)
-            if ((start_dense >= ids.size).any()
-                    or (ids[start_dense] != starts_chunk).any()):
+            start_dense = DictReader(dict_meta).lookup(starts_chunk)
+            if start_dense is None:
                 raise ValueError("starts contains unknown vertex ids")
         wid = (np.repeat(start_dense * wpn, wpn)
                + np.tile(np.arange(wpn, dtype=np.int64), start_dense.size))
@@ -492,7 +463,7 @@ def _distributed_walks(graph: Graph, cfg: EngineConfig, walk_length: int,
         frontier = [[o[1 + q] for o in outs] for q in range(P)]
 
     return _assemble_walks(ray.data.from_arrow_refs(step_rows),
-                           walk_length, dict_meta, ids_ref, P)
+                           walk_length, dict_meta, P)
 
 
 def _distributed_walks_2nd(graph: Graph, cfg: EngineConfig,
@@ -545,14 +516,7 @@ def _distributed_walks_2nd(graph: Graph, cfg: EngineConfig,
                                    for sl in split_lists])
                 for pt in range(P)]
 
-    if graph.sharded:
-        from centrality_gpu_ray.nputil import DictReader
-        dict_meta = (graph.vdict.mins, graph.vdict.offsets,
-                     graph.vdict.block_refs)
-        ids_ref = None
-    else:
-        dict_meta = None
-        ids_ref = ray.put(graph.node_ids)
+    dict_meta = graph.vdict.meta
 
     def _split_triple(wid, cur, prv):
         part = _vpart(cur, P)
@@ -566,13 +530,9 @@ def _distributed_walks_2nd(graph: Graph, cfg: EngineConfig,
     def frontier_init(lo: int, hi: int, starts_chunk):
         if starts_chunk is None:
             start_dense = np.arange(lo, hi, dtype=np.int64)
-        elif dict_meta is not None:
-            start_dense = DictReader(dict_meta).to_dense(starts_chunk)
         else:
-            ids = ray.get(ids_ref)
-            start_dense = np.searchsorted(ids, starts_chunk)
-            if ((start_dense >= ids.size).any()
-                    or (ids[start_dense] != starts_chunk).any()):
+            start_dense = DictReader(dict_meta).lookup(starts_chunk)
+            if start_dense is None:
                 raise ValueError("starts contains unknown vertex ids")
         wid = (np.repeat(start_dense * wpn, wpn)
                + np.tile(np.arange(wpn, dtype=np.int64), start_dense.size))
@@ -681,7 +641,7 @@ def _distributed_walks_2nd(graph: Graph, cfg: EngineConfig,
         frontier = nxt_frontier
 
     return _assemble_walks(ray.data.from_arrow_refs(step_rows),
-                           walk_length, dict_meta, ids_ref, P)
+                           walk_length, dict_meta, P)
 
 
 def skipgram_pairs(walks, window: int = 5):

@@ -129,11 +129,13 @@ class LoopCheckpoint:
     """Resume/save of one superstep loop's per-vertex state, for the
     local loops and the pool loops alike. Dense graphs keep
     :class:`CheckpointManager`'s ``(node, col)`` tables; a resume maps
-    them back through ``Graph.dense_index`` and starts over when they
-    belong to another graph; they live under ``<checkpoint_dir>/<algo>/``.
-    Sharded graphs keep per-owner chunks under
-    ``<checkpoint_dir>/<sharded_algo>/``. ``ids=True``: the values are
-    dense vertex ids (labels), stored as original ids."""
+    them back through ``Graph.dense_index`` and raises ``ValueError``
+    when they belong to another graph; they live under
+    ``<checkpoint_dir>/<algo>/``. Sharded graphs keep per-owner chunks
+    under ``<checkpoint_dir>/<sharded_algo>/``, and
+    ``ShardPool.resume_owners`` raises on another ``n`` or other owner
+    bounds. ``ids=True``: the values are dense vertex ids (labels),
+    stored as original ids."""
 
     def __init__(self, graph, cfg, algo: str, col: str,
                  sharded_algo: str | None = None, ids: bool = False):
@@ -162,7 +164,10 @@ class LoopCheckpoint:
         if self.ids:
             vals = g.dense_index(vals)
         if idx is None or vals is None or idx.size != g.num_vertices:
-            return 0, None  # another graph's state: full budget again
+            raise ValueError(
+                f"checkpoint {self.manager.root} step {step} holds another "
+                f"graph's state: {table.num_rows} rows, not the "
+                f"{g.num_vertices} vertices of this graph")
         vec = np.empty(g.num_vertices, dtype=vals.dtype)
         vec[idx] = vals
         if pool is not None:

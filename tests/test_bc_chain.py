@@ -11,7 +11,6 @@ import pytest
 
 from centrality_gpu_ray.pipelines.bc_chain import (MIN_CHAIN_LEN,
                                                    build_compressed,
-                                                   chain_pass,
                                                    chain_pass_v2,
                                                    compressed_plain_pass,
                                                    detect_chains)
@@ -73,12 +72,7 @@ def _kernel_parity(lu, lv, ew, nv, mass, weighted):
     det = detect_chains(lu, lv, ew, nv)
     assert det is not None
     want = _plain_pass(lu, lv, ew, nv, mass, weighted, np.arange(nv))
-    got = _plain_pass(lu, lv, ew, nv, mass, weighted,
-                      np.flatnonzero(~det["interior"]))
-    got += chain_pass(lu, lv, ew, nv, mass, weighted, det["chains"],
-                      0, len(det["chains"]))
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
-    # compressed-sweep v2: same numbers off the contracted multigraph
+    # compressed sweeps: the same numbers off the contracted multigraph
     # (unweighted inputs contract to WEIGHTED chain edges, so neutralize
     # ew exactly as the engine callers do)
     ew2 = ew if weighted else np.ones_like(ew)
@@ -326,7 +320,7 @@ def test_engine_distributed_unweighted_ignores_weight_column():
     """Unweighted BC must ignore a non-unit weight column — the chain
     path's DAG membership test uses ew, so the distributed reducer
     must neutralize it (regression: real weights leaked into
-    detect_chains/chain_pass under weighted=False)."""
+    detect_chains/chain_pass_v2 under weighted=False)."""
     edges = _chain_planted_edges(seed=29)
     rng = np.random.default_rng(2)
     weights = rng.integers(2, 7, len(edges)).tolist()   # all non-unit

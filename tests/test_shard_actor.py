@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -17,6 +16,7 @@ import pyarrow.parquet as pq
 from centrality_gpu_ray.pipelines.coloring import _jp_local_rounds
 from centrality_gpu_ray.pipelines.mis import _mis_rounds, mis_priorities
 from centrality_gpu_ray.shard_actor import EdgeShard
+from storeutil import settled_store_bytes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -302,30 +302,6 @@ def test_resume_owners_restores_state_bit_exact(tmp_path):
         pool.shutdown()
 
 
-def _store_bytes() -> int:
-    import ray
-    from ray.autoscaler.v2.sdk import get_cluster_status
-
-    status = get_cluster_status(ray.get_runtime_context().gcs_address)
-    for usage in status.cluster_resource_usage:
-        if usage.resource_name == "object_store_memory":
-            return int(usage.used)
-    return 0
-
-
-def _settled_store_bytes(limit: float = 10.0) -> int:
-    """Object-store bytes once three half-second polls agree."""
-    last, same, t_end = None, 0, time.monotonic() + limit
-    while time.monotonic() < t_end:
-        cur = _store_bytes()
-        same = same + 1 if cur == last else 0
-        if same == 2:
-            break
-        last = cur
-        time.sleep(0.5)
-    return cur
-
-
 def test_graph_and_pool_leave_no_store_bytes():
     """Building a dense graph, running PageRank, CC and LP on its pool
     and shutting both down returns the object store to its baseline (a
@@ -349,7 +325,7 @@ def test_graph_and_pool_leave_no_store_bytes():
     dst = rng.integers(0, 6000, size=20000) * 3 + 1
     tbl = pa.table({"src": src, "dst": dst})
     gc.collect()
-    base = _settled_store_bytes()
+    base = settled_store_bytes()
     for _ in range(2):
         g = Graph(ray.data.from_arrow(tbl), mode="distributed")
         assert g.num_vertices > 5000
@@ -369,4 +345,4 @@ def test_graph_and_pool_leave_no_store_bytes():
     g.pool.shutdown()
     del g
     gc.collect()
-    assert _settled_store_bytes() <= base
+    assert settled_store_bytes() <= base
